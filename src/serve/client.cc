@@ -42,10 +42,7 @@ StatusOr<ZkmlClient::ProveOutcome> ZkmlClient::Prove(const ProveRequest& request
   }
   ProveOutcome out;
   if (hdr.type == FrameType::kProveResponse) {
-    // Decode at the version the reply frame declares: the server answers at
-    // the version the request spoke, so this is a no-op for this client, but
-    // it keeps the decode honest if that ever changes.
-    ZKML_ASSIGN_OR_RETURN(out.response, DecodeProveResponse(frame.second, hdr.version));
+    ZKML_ASSIGN_OR_RETURN(out.response, DecodeProveResponse(frame.second));
     out.ok = true;
     return out;
   }

@@ -47,9 +47,6 @@ struct ZkmlServer::Job {
   uint64_t request_id = 0;
   ProveRequest request;
   uint32_t deadline_ms = 0;
-  // The wire version the client spoke; responses (and coalescing
-  // eligibility — a batched artifact needs a v3-aware reader) honour it.
-  uint8_t wire_version = kWireVersion;
 
   // shared_ptr so the watchdog can hold the token while the worker runs.
   std::shared_ptr<CancelToken> cancel = std::make_shared<CancelToken>();
@@ -143,6 +140,16 @@ struct ZkmlServer::Counters {
   Stat& RejectionsFor(WireStage stage) {
     const size_t i = static_cast<size_t>(stage);
     return rejections[i < kNumStages ? i : kNumStages - 1];
+  }
+
+  // The jobs_* counter a job failed with `code` lands in.
+  Stat& FailuresFor(WireErrorCode code) {
+    switch (code) {
+      case WireErrorCode::kCancelled: return jobs_cancelled;
+      case WireErrorCode::kDeadlineExceeded: return jobs_deadline_exceeded;
+      case WireErrorCode::kInternal: return jobs_failed_internal;
+      default: return jobs_rejected_malformed;
+    }
   }
 };
 
@@ -548,9 +555,9 @@ void ZkmlServer::AcceptLoop() {
 }
 
 bool ZkmlServer::SendFrame(Connection& conn, FrameType type, uint64_t request_id,
-                           const std::vector<uint8_t>& payload, uint8_t version) {
+                           const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> out;
-  EncodeFrame(&out, type, request_id, payload, version);
+  EncodeFrame(&out, type, request_id, payload);
   Status s = conn.sock.WriteFull(out.data(), out.size(), options_.io_timeout_ms);
   if (!s.ok()) {
     if (s.code() == StatusCode::kDeadlineExceeded) {
@@ -561,10 +568,9 @@ bool ZkmlServer::SendFrame(Connection& conn, FrameType type, uint64_t request_id
   return true;
 }
 
-bool ZkmlServer::SendError(Connection& conn, uint64_t request_id, const WireError& err,
-                           uint8_t version) {
+bool ZkmlServer::SendError(Connection& conn, uint64_t request_id, const WireError& err) {
   counters_->RejectionsFor(err.stage).Inc();
-  return SendFrame(conn, FrameType::kError, request_id, EncodeWireError(err), version);
+  return SendFrame(conn, FrameType::kError, request_id, EncodeWireError(err));
 }
 
 void ZkmlServer::HandleConnection(std::shared_ptr<Connection> conn) {
@@ -619,7 +625,7 @@ void ZkmlServer::HandleConnection(std::shared_ptr<Connection> conn) {
 
     switch (hdr->type) {
       case FrameType::kPing:
-        if (!SendFrame(*conn, FrameType::kPong, hdr->request_id, {}, hdr->version)) return;
+        if (!SendFrame(*conn, FrameType::kPong, hdr->request_id, {})) return;
         continue;
       case FrameType::kProveRequest:
         break;
@@ -628,32 +634,27 @@ void ZkmlServer::HandleConnection(std::shared_ptr<Connection> conn) {
         counters_->protocol_errors.Inc();
         SendError(*conn, hdr->request_id,
                   {WireErrorCode::kBadFrameType, WireStage::kFrameHeader,
-                   "frame type is not a client request"},
-                  hdr->version);
+                   "frame type is not a client request"});
         return;
     }
 
-    // The payload is decoded against the version the frame declared: a
-    // down-level frame carrying fields it never defined is rejected here.
-    StatusOr<ProveRequest> req = DecodeProveRequest(payload, hdr->version);
+    StatusOr<ProveRequest> req = DecodeProveRequest(payload);
     if (!req.ok()) {
       // Structurally invalid payload behind a valid CRC: the framing is still
       // sound, so reject the request but keep the connection.
       counters_->jobs_rejected_malformed.Inc();
       if (!SendError(*conn, hdr->request_id,
                      {WireErrorCode::kMalformedRequest, WireStage::kFramePayload,
-                      req.status().message()},
-                     hdr->version)) {
+                      req.status().message()})) {
         return;
       }
       continue;
     }
 
     WireError admit_err;
-    std::shared_ptr<Job> job =
-        AdmitJob(std::move(*req), hdr->request_id, hdr->version, &admit_err);
+    std::shared_ptr<Job> job = AdmitJob(std::move(*req), hdr->request_id, &admit_err);
     if (job == nullptr) {
-      if (!SendError(*conn, hdr->request_id, admit_err, hdr->version)) return;
+      if (!SendError(*conn, hdr->request_id, admit_err)) return;
       continue;
     }
 
@@ -664,9 +665,9 @@ void ZkmlServer::HandleConnection(std::shared_ptr<Connection> conn) {
     bool sent;
     if (job->ok) {
       sent = SendFrame(*conn, FrameType::kProveResponse, hdr->request_id,
-                       EncodeProveResponse(job->response, hdr->version), hdr->version);
+                       EncodeProveResponse(job->response));
     } else {
-      sent = SendError(*conn, hdr->request_id, job->error, hdr->version);
+      sent = SendError(*conn, hdr->request_id, job->error);
     }
     counters_->stage_respond->Record(SecondsBetween(respond_start, SteadyClock::now()));
     if (!sent) return;
@@ -674,12 +675,10 @@ void ZkmlServer::HandleConnection(std::shared_ptr<Connection> conn) {
 }
 
 std::shared_ptr<ZkmlServer::Job> ZkmlServer::AdmitJob(ProveRequest request,
-                                                      uint64_t request_id,
-                                                      uint8_t wire_version, WireError* err) {
+                                                      uint64_t request_id, WireError* err) {
   auto job = std::make_shared<Job>();
   job->id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   job->request_id = request_id;
-  job->wire_version = wire_version;
   job->deadline_ms = request.deadline_ms == 0
                          ? options_.default_deadline_ms
                          : std::min(request.deadline_ms, options_.max_deadline_ms);
@@ -727,10 +726,9 @@ std::shared_ptr<ZkmlServer::Job> ZkmlServer::AdmitJob(ProveRequest request,
 }
 
 void ZkmlServer::WorkerLoop(int worker_index) {
-  // A job is coalescable when it asks for exactly one inference of one
-  // circuit and its client can read a zkml.batched_proof/v1 response (v3+).
+  // A job is coalescable when it asks for exactly one inference of one circuit.
   const auto coalescable = [](const Job& j) {
-    return j.wire_version >= 3 && j.request.shards <= 1 && j.request.batch <= 1;
+    return j.request.shards <= 1 && j.request.batch <= 1;
   };
   for (;;) {
     std::vector<std::shared_ptr<Job>> group;
@@ -747,15 +745,17 @@ void ZkmlServer::WorkerLoop(int worker_index) {
       group.front()->worker.store(worker_index, std::memory_order_relaxed);
       running_.push_back(group.front());
       // Request coalescing: claim queued jobs for the same (model, backend)
-      // so one batched circuit proves them all. Only whole jobs are claimed —
-      // anything incompatible stays queued for another worker.
+      // so one batched circuit proves them all. Only whole jobs whose
+      // deadline is no earlier than the lead's are claimed, so the lead holds
+      // the group's earliest deadline; anything else stays queued.
       if (options_.coalesce_max > 1 && coalescable(*group.front())) {
         const Job& lead = *group.front();
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < options_.coalesce_max;) {
           Job& j = **it;
           if (coalescable(j) && j.request.backend == lead.request.backend &&
-              j.request.model_text == lead.request.model_text) {
+              j.request.model_text == lead.request.model_text &&
+              j.deadline_tp >= lead.deadline_tp) {
             j.worker.store(worker_index, std::memory_order_relaxed);
             running_.push_back(*it);
             group.push_back(std::move(*it));
@@ -767,11 +767,7 @@ void ZkmlServer::WorkerLoop(int worker_index) {
       }
     }
 
-    if (group.size() == 1) {
-      ExecuteJob(group.front());
-    } else {
-      ExecuteCoalescedJobs(group);
-    }
+    ExecuteGroup(group);
 
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
@@ -785,693 +781,349 @@ void ZkmlServer::WorkerLoop(int worker_index) {
   }
 }
 
-void ZkmlServer::ExecuteJob(const std::shared_ptr<Job>& job) {
-  // Trace sampling: every Nth admitted job runs under its own Tracer; the
-  // scope must close before export so all spans are complete.
-  const bool sampled = options_.trace_sample_every > 0 &&
-                       (job->id - 1) % options_.trace_sample_every == 0;
-  std::optional<obs::Tracer> tracer;
-  if (sampled) tracer.emplace();
-  {
-    std::optional<obs::TracerScope> scope;
-    if (tracer) scope.emplace(&*tracer);
-    ExecuteJobInner(job);
-  }
-  if (tracer) {
-    obs::Json doc = tracer->ToReportJson();
-    doc.Set("job_id", job->id);
-    doc.Set("request_id", job->request_id);
-    doc.Set("outcome", job->ok ? "ok" : WireErrorCodeName(job->error.code));
-    if (!job->ok) doc.Set("error_stage", WireStageName(job->error.stage));
-    trace_ring_.Add(std::move(doc));
-  }
+namespace {
 
-  if (event_log_ != nullptr) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("job_id", job->id);
-    fields.Set("request_id", job->request_id);
-    fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
-    const char* event = "job_completed";
-    if (!job->ok) {
-      fields.Set("error", WireErrorCodeName(job->error.code));
-      fields.Set("stage", WireStageName(job->error.stage));
-      switch (job->error.code) {
-        case WireErrorCode::kDeadlineExceeded: event = "job_deadline_exceeded"; break;
-        case WireErrorCode::kCancelled:
-          event = job->reaped.load(std::memory_order_relaxed) ? "job_reaped" : "job_cancelled";
-          break;
-        default: event = "job_failed"; break;
-      }
-    }
-    LogEvent(event, std::move(fields));
+// Which zkml API proves a plan, and so which artifact its members receive.
+enum class ArtifactKind {
+  kPlonk,    // one circuit, one inference: raw plonk proof bytes
+  kBatched,  // one circuit, `batch` inferences: zkml.batched_proof/v1 ("ZKBP")
+  kSharded,  // `shards` circuits, one inference: zkml.sharded_proof/v1 ("ZKSH")
+};
+
+// How a group's inferences are laid out over circuits, the compiled-circuit
+// cache key of each circuit, and the artifact that comes back.
+struct Plan {
+  size_t shards = 1;
+  size_t batch = 1;
+  ArtifactKind artifact = ArtifactKind::kPlonk;
+  std::vector<std::string> keys;
+};
+
+// Inferences one request asks for: its batch, or one when unbatched.
+size_t InferencesOf(const ProveRequest& req) { return std::max<size_t>(1, req.batch); }
+
+// Resolves the plan proving `batch` inferences of `model` for a group led by
+// `req`: the lone request's own batch, or one inference per coalesced member
+// (a coalesced group is a plan whose batch was widened). Null with *err
+// filled when the request asks for both sharded and batched proving.
+std::optional<Plan> ResolvePlan(const Model& model, const ProveRequest& req, size_t batch,
+                                WireError* err) {
+  if (req.batch > 1 && req.shards > 1) {
+    *err = {WireErrorCode::kMalformedRequest, WireStage::kModelParse,
+            "request asks for both sharded (" + std::to_string(req.shards) + ") and batched (" +
+                std::to_string(req.batch) + ") proving; pick one"};
+    return std::nullopt;
   }
+  Plan plan;
+  plan.batch = batch;
+  // A model whose graph admits no cut falls back to one circuit; shards = 1
+  // in the response tells the client what actually ran.
+  plan.shards = req.shards > 1 ? ResolveShardCount(model, req.shards) : 1;
+  // Each circuit caches next to the model's other compilations.
+  const std::string hash = ModelHashHex(req.model_text);
+  const std::string backend = req.backend == 1 ? ":ipa" : ":kzg";
+  if (plan.shards > 1) {
+    plan.artifact = ArtifactKind::kSharded;
+    for (size_t i = 0; i < plan.shards; ++i) {
+      plan.keys.push_back(hash + ":shard" + std::to_string(i) + "/" +
+                          std::to_string(plan.shards) + backend);
+    }
+  } else if (plan.batch > 1) {
+    plan.artifact = ArtifactKind::kBatched;
+    plan.keys.push_back(hash + ":batch" + std::to_string(plan.batch) + backend);
+  } else {
+    plan.keys.push_back(hash + backend);
+  }
+  return plan;
 }
 
-void ZkmlServer::ExecuteJobInner(const std::shared_ptr<Job>& job) {
+}  // namespace
+
+void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
   const auto started = SteadyClock::now();
-  const uint64_t queue_micros = MicrosBetween(job->enqueued, started);
-  counters_->stage_admission->Record(static_cast<double>(queue_micros) / 1e6);
-
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  // Maps a cancellation Status onto the wire: watchdog/drain Cancel() →
-  // CANCELLED, expired budget → DEADLINE_EXCEEDED. The Status message names
-  // the checkpoint that noticed (e.g. "deadline exceeded at quotient").
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  // A job whose budget evaporated in the queue is shed before any work.
-  Status live = job->cancel->Check("queue-wait");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kAdmission);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kModelParse), std::memory_order_relaxed);
-  StatusOr<Model> model = DeserializeModel(job->request.model_text);
-  if (!model.ok()) {
-    counters_->jobs_rejected_malformed.Inc();
-    fail(WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
-    return;
-  }
-
-  if (job->request.batch > 1 && job->request.shards > 1) {
-    counters_->jobs_rejected_malformed.Inc();
-    fail(WireErrorCode::kMalformedRequest, WireStage::kModelParse,
-         "request asks for both sharded (" + std::to_string(job->request.shards) +
-             ") and batched (" + std::to_string(job->request.batch) +
-             ") proving; pick one");
-    return;
-  }
-
-  // Batched multi-inference proving: one circuit proves `batch` inferences
-  // and the response carries a zkml.batched_proof/v1 artifact.
-  if (job->request.batch > 1) {
-    ExecuteBatchedJob(job, *model, job->request.batch, queue_micros, started);
-    return;
-  }
-
-  // Sharded proving takes its own pipeline: per-shard compilations flow
-  // through the cache under shard-suffixed keys, and the response carries a
-  // zkml.sharded_proof/v1 artifact. A request for >1 shards on a model whose
-  // graph admits no cut falls back to the single-circuit path (shards = 1 in
-  // the response tells the client what actually ran).
-  if (job->request.shards > 1) {
-    const size_t k = ResolveShardCount(*model, job->request.shards);
-    if (k > 1) {
-      ExecuteShardedJob(job, *model, k, queue_micros, started);
-      return;
-    }
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-  const std::string key =
-      ModelHashHex(job->request.model_text) + (job->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      return std::make_shared<const CompiledModel>(CompileModel(*model, zo));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    return;
-  }
-  live = job->cancel->Check("compile");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kCompile);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  const Model& m = (*compiled)->model;
-  Tensor<int64_t> input_q;
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      if (static_cast<int64_t>(job->request.input.size()) != m.input_shape.NumElements()) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "input has " + std::to_string(job->request.input.size()) +
-                 " elements, model wants " + std::to_string(m.input_shape.NumElements()));
-        return;
-      }
-      input_q = Tensor<int64_t>(m.input_shape, std::move(job->request.input));
-    } else {
-      input_q = QuantizeTensor(SyntheticInput(m, job->request.seed), m.quant);
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<ZkmlProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return ProveCancellable(**compiled, input_q, job->cancel.get());
-  }();
-  counters_->stage_prove->Record(SecondsBetween(prove_start, SteadyClock::now()));
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    WriteJobReport(*job, **compiled, *proof);
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = std::move(proof->bytes);
-  job->response.instance = std::move(proof->instance);
-  job->response.output = proof->output_q.ToVector();
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = 1;
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteShardedJob(const std::shared_ptr<Job>& job, const Model& model,
-                                   size_t num_shards, uint64_t queue_micros,
-                                   SteadyClock::time_point started) {
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  job->shards_total.store(static_cast<uint32_t>(num_shards), std::memory_order_relaxed);
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-
-  ZkmlOptions zo;
-  zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-  zo.optimizer.backend = zo.backend;
-  zo.optimizer.min_columns = options_.optimizer_min_columns;
-  zo.optimizer.max_columns = options_.optimizer_max_columns;
-  zo.optimizer.max_k = options_.optimizer_max_k;
-
-  StatusOr<ModelPartition> partition = PartitionModel(model, num_shards);
-  if (!partition.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, partition.status().message());
-    return;
-  }
-
-  // Each shard's circuit is cached independently under a shard-suffixed key,
-  // so repeat sharded jobs (and jobs at the same shard count from other
-  // connections) reuse every per-shard compilation.
-  CompiledShardedModel sharded;
-  sharded.model = model;
-  sharded.backend = zo.backend;
-  sharded.shards.resize(num_shards);
-  const std::string key_base = ModelHashHex(job->request.model_text);
-  const std::string backend_tag = job->request.backend == 1 ? ":ipa" : ":kzg";
-  bool cache_hit = true;
-  {
-    obs::Span span("serve.compile");
-    for (size_t i = 0; i < num_shards; ++i) {
-      const std::string key = key_base + ":shard" + std::to_string(i) + "/" +
-                              std::to_string(num_shards) + backend_tag;
-      StatusOr<std::shared_ptr<const CompiledModel>> compiled = cache_.GetOrCompile(
-          key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-            cache_hit = false;
-            return std::make_shared<const CompiledModel>(
-                CompileModel(partition->shards[i].model, zo));
-          });
-      if (!compiled.ok()) {
-        counters_->jobs_failed_internal.Inc();
-        fail(WireErrorCode::kInternal, WireStage::kCompile,
-             "shard " + std::to_string(i) + "/" + std::to_string(num_shards) + ": " +
-                 compiled.status().message());
-        return;
-      }
-      sharded.shards[i] = std::move(*compiled);
-      Status live = job->cancel->Check("compile");
-      if (!live.ok()) {
-        fail_cancel(live, WireStage::kCompile);
-        return;
-      }
-    }
-  }
-  sharded.partition = std::move(*partition);
-  sharded.compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
-  counters_->stage_compile->Record(sharded.compile_seconds);
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  Tensor<int64_t> input_q;
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      if (static_cast<int64_t>(job->request.input.size()) != model.input_shape.NumElements()) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "input has " + std::to_string(job->request.input.size()) +
-                 " elements, model wants " + std::to_string(model.input_shape.NumElements()));
-        return;
-      }
-      input_q = Tensor<int64_t>(model.input_shape, std::move(job->request.input));
-    } else {
-      input_q = QuantizeTensor(SyntheticInput(model, job->request.seed), model.quant);
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  Job* job_raw = job.get();  // the shared_ptr outlives CreateShardedProof
-  StatusOr<ShardedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateShardedProof(sharded, input_q, job->cancel.get(),
-                              [job_raw](size_t done, size_t) {
-                                job_raw->shards_done.store(static_cast<uint32_t>(done),
-                                                           std::memory_order_relaxed);
-                              });
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  // Shard-count-labelled prove series alongside the aggregate, so scaling is
-  // visible per shard count (e.g. serve.stage_seconds.prove.shards4).
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.shards" + std::to_string(num_shards),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    // Sharded jobs report the zkml.sharded_proof/v1 document instead of the
-    // single-circuit run report. Report I/O must never fail a proved job.
-    obs::Json doc = ShardedReportJson(sharded, *proof);
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(job->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = EncodeShardedProof(*proof);
-  job->response.instance = std::move(proof->instance);
-  job->response.output = proof->output_q.ToVector();
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = static_cast<uint32_t>(num_shards);
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteBatchedJob(const std::shared_ptr<Job>& job, const Model& model,
-                                   size_t batch, uint64_t queue_micros,
-                                   SteadyClock::time_point started) {
-  auto fail = [&](WireErrorCode code, WireStage stage, std::string message) {
-    job->ok = false;
-    job->error = {code, stage, std::move(message)};
-  };
-  auto fail_cancel = [&](const Status& s, WireStage stage) {
-    if (s.code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc();
-      fail(WireErrorCode::kCancelled, stage,
-           job->reaped.load(std::memory_order_relaxed) ? "reaped by watchdog: " + s.message()
-                                                       : s.message());
-    } else {
-      counters_->jobs_deadline_exceeded.Inc();
-      fail(WireErrorCode::kDeadlineExceeded, stage, s.message());
-    }
-  };
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kCompile), std::memory_order_relaxed);
-  const auto compile_start = SteadyClock::now();
-  // The batched circuit is a different circuit than the single-inference one
-  // (replicated advice regions, N-segment statement), so it caches under a
-  // batch-suffixed key next to the model's other compilations.
-  const std::string key = ModelHashHex(job->request.model_text) + ":batch" +
-                          std::to_string(batch) +
-                          (job->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = job->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      StatusOr<CompiledBatchedModel> cb = CompileBatched(model, batch, zo);
-      if (!cb.ok()) return cb.status();
-      return std::make_shared<const CompiledModel>(std::move(cb->compiled));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc();
-    fail(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    return;
-  }
-  Status live = job->cancel->Check("compile");
-  if (!live.ok()) {
-    fail_cancel(live, WireStage::kCompile);
-    return;
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kWitness), std::memory_order_relaxed);
-  const auto witness_start = SteadyClock::now();
-  const Model& m = (*compiled)->model;
-  const size_t per = static_cast<size_t>(m.input_shape.NumElements());
-  std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(batch);
-  {
-    obs::Span span("serve.witness");
-    if (!job->request.input.empty()) {
-      // Explicit input carries batch x per elements, inference-major.
-      if (job->request.input.size() != batch * per) {
-        counters_->jobs_rejected_malformed.Inc();
-        fail(WireErrorCode::kInputMismatch, WireStage::kWitness,
-             "batched input has " + std::to_string(job->request.input.size()) +
-                 " elements, batch " + std::to_string(batch) + " of this model wants " +
-                 std::to_string(batch * per) + " (" + std::to_string(per) +
-                 " per inference)");
-        return;
-      }
-      for (size_t i = 0; i < batch; ++i) {
-        std::vector<int64_t> slice(job->request.input.begin() + static_cast<ptrdiff_t>(i * per),
-                                   job->request.input.begin() +
-                                       static_cast<ptrdiff_t>((i + 1) * per));
-        inputs_q.emplace_back(m.input_shape, std::move(slice));
-      }
-    } else {
-      // Synthetic inputs: one distinct draw per inference, seeded seed + i so
-      // the batch is reproducible but not N copies of one tensor.
-      for (size_t i = 0; i < batch; ++i) {
-        inputs_q.push_back(QuantizeTensor(SyntheticInput(m, job->request.seed + i), m.quant));
-      }
-    }
-  }
-  counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kProve), std::memory_order_relaxed);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<BatchedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateBatchedProof(**compiled, inputs_q, job->cancel.get());
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  // Batch-size-labelled prove series so amortization is visible per N.
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.batch" + std::to_string(batch),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled ||
-        proof.status().code() == StatusCode::kDeadlineExceeded) {
-      fail_cancel(proof.status(), WireStage::kProve);
-    } else {
-      counters_->jobs_failed_internal.Inc();
-      fail(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
-    }
-    return;
-  }
-
-  if (!options_.report_dir.empty()) {
-    // Batched jobs report the zkml.batched_proof/v1 document. Report I/O must
-    // never fail a proved job.
-    obs::Json doc = BatchedReportJson(**compiled, *proof);
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(job->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  job->stage.store(static_cast<uint8_t>(WireStage::kRespond), std::memory_order_relaxed);
-  const auto finished = SteadyClock::now();
-  job->response.proof = EncodeBatchedProof(*proof);
-  job->response.instance = std::move(proof->instance);
-  job->response.output.clear();
-  for (const Tensor<int64_t>& out_q : proof->outputs_q) {
-    const std::vector<int64_t> v = out_q.ToVector();
-    job->response.output.insert(job->response.output.end(), v.begin(), v.end());
-  }
-  job->response.queue_micros = queue_micros;
-  job->response.prove_micros = MicrosBetween(started, finished);
-  job->response.cache_hit = cache_hit ? 1 : 0;
-  job->response.shards = 1;
-  job->response.batch = static_cast<uint32_t>(batch);
-  job->ok = true;
-  counters_->jobs_completed.Inc();
-  counters_->job_seconds->Record(
-      std::chrono::duration<double>(finished - job->enqueued).count());
-}
-
-void ZkmlServer::ExecuteCoalescedJobs(const std::vector<std::shared_ptr<Job>>& group) {
-  const auto started = SteadyClock::now();
-  const size_t batch = group.size();
-  const std::shared_ptr<Job>& lead = group.front();
-  auto fail_all = [&](WireErrorCode code, WireStage stage, const std::string& message) {
-    for (const auto& job : group) {
-      job->ok = false;
-      job->error = {code, stage, message};
-    }
-  };
-  auto set_stage = [&](WireStage stage) {
-    for (const auto& job : group) {
+  // Members still headed for the proof; one that fails is answered alone.
+  std::vector<std::shared_ptr<Job>> live;
+  const auto set_stage = [&](WireStage stage) {
+    for (const auto& job : live) {
       job->stage.store(static_cast<uint8_t>(stage), std::memory_order_relaxed);
     }
   };
-  auto log_jobs = [&](const std::vector<std::shared_ptr<Job>>& jobs) {
-    if (event_log_ == nullptr) return;
-    for (const auto& job : jobs) {
-      obs::Json fields = obs::Json::Object();
-      fields.Set("job_id", job->id);
-      fields.Set("request_id", job->request_id);
-      fields.Set("coalesced", static_cast<uint64_t>(batch));
-      fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
-      if (job->ok) {
-        LogEvent("job_completed", std::move(fields));
-      } else {
-        fields.Set("error", WireErrorCodeName(job->error.code));
-        fields.Set("stage", WireStageName(job->error.stage));
-        LogEvent("job_failed", std::move(fields));
-      }
+  const auto fail = [&](Job& job, WireError err) {
+    counters_->FailuresFor(err.code).Inc();
+    job.ok = false;
+    job.error = std::move(err);
+  };
+  // Maps a failed Status onto the wire: watchdog/drain Cancel() → CANCELLED,
+  // an expired budget → DEADLINE_EXCEEDED (naming the checkpoint that noticed,
+  // e.g. "deadline exceeded at quotient"), anything else → INTERNAL.
+  const auto fail_status = [&](Job& job, const Status& s, WireStage stage) {
+    if (s.code() == StatusCode::kCancelled) {
+      const bool reaped = job.reaped.load(std::memory_order_relaxed);
+      fail(job, {WireErrorCode::kCancelled, stage,
+                 (reaped ? "reaped by watchdog: " : "") + s.message()});
+    } else {
+      fail(job, {s.code() == StatusCode::kDeadlineExceeded ? WireErrorCode::kDeadlineExceeded
+                                                           : WireErrorCode::kInternal,
+                 stage, s.message()});
     }
   };
-  auto log_outcome = [&] { log_jobs(group); };
 
-  for (const auto& job : group) {
-    counters_->stage_admission->Record(SecondsBetween(job->enqueued, started));
-  }
-
-  set_stage(WireStage::kModelParse);
-  StatusOr<Model> model = DeserializeModel(lead->request.model_text);
-  if (!model.ok()) {
-    counters_->jobs_rejected_malformed.Inc(batch);
-    fail_all(WireErrorCode::kMalformedModel, WireStage::kModelParse, model.status().message());
-    log_outcome();
-    return;
-  }
-  const size_t per = static_cast<size_t>(model->input_shape.NumElements());
-  // A member whose explicit input is malformed is failed alone; the rest of
-  // the group still proves (the batched circuit is compiled for the survivor
-  // count, so nothing is wasted on the reject).
-  std::vector<std::shared_ptr<Job>> good;
-  good.reserve(batch);
-  for (const auto& job : group) {
-    if (!job->request.input.empty() && job->request.input.size() != per) {
-      counters_->jobs_rejected_malformed.Inc();
-      job->ok = false;
-      job->error = {WireErrorCode::kInputMismatch, WireStage::kWitness,
-                    "input has " + std::to_string(job->request.input.size()) +
-                        " elements, model wants " + std::to_string(per)};
-    } else {
-      good.push_back(job);
-    }
-  }
-  if (good.size() < batch) {
-    // Group shrank: log the rejects here, then reprove what survives (a
-    // singleton falls back to the ordinary pipeline, which does its own
-    // logging; smaller groups recurse — terminating because every reject is
-    // final).
-    std::vector<std::shared_ptr<Job>> rejected;
+  const auto run = [&] {
     for (const auto& job : group) {
-      if (std::find(good.begin(), good.end(), job) == good.end()) rejected.push_back(job);
+      counters_->stage_admission->Record(SecondsBetween(job->enqueued, started));
+      // A job whose budget evaporated in the queue is shed before any work.
+      if (const Status s = job->cancel->Check("queue-wait"); s.ok()) {
+        live.push_back(job);
+      } else {
+        fail_status(*job, s, WireStage::kAdmission);
+      }
     }
-    log_jobs(rejected);
-    if (good.size() == 1) {
-      ExecuteJob(good.front());
-    } else if (good.size() > 1) {
-      ExecuteCoalescedJobs(good);
-    }
-    return;
-  }
+    if (live.empty()) return;
 
-  set_stage(WireStage::kCompile);
-  const auto compile_start = SteadyClock::now();
-  const std::string key = ModelHashHex(lead->request.model_text) + ":batch" +
-                          std::to_string(batch) +
-                          (lead->request.backend == 1 ? ":ipa" : ":kzg");
-  bool cache_hit = true;
-  StatusOr<std::shared_ptr<const CompiledModel>> compiled = [&] {
-    obs::Span span("serve.compile");
-    return cache_.GetOrCompile(key, [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
+    set_stage(WireStage::kModelParse);
+    // Every member carries the same model text (WorkerLoop groups by it).
+    const StatusOr<Model> model = DeserializeModel(live.front()->request.model_text);
+    if (!model.ok()) {
+      for (const auto& job : live) {
+        fail(*job, {WireErrorCode::kMalformedModel, WireStage::kModelParse,
+                     model.status().message()});
+      }
+      return;
+    }
+
+    // An explicit input carries one model input per inference, inference-major.
+    // A malformed one fails its member alone; the plan covers the rest.
+    const size_t per = static_cast<size_t>(model->input_shape.NumElements());
+    size_t batch = 0;
+    std::vector<std::shared_ptr<Job>> fed;
+    for (const auto& job : live) {
+      const size_t n = InferencesOf(job->request);
+      const size_t have = job->request.input.size();
+      if (have != 0 && have != n * per) {
+        fail(*job, {WireErrorCode::kInputMismatch, WireStage::kWitness,
+                    "input has " + std::to_string(have) + " elements, model wants " +
+                        std::to_string(n * per) +
+                        (n > 1 ? " (" + std::to_string(per) + " per inference)" : "")});
+      } else {
+        fed.push_back(job);
+        batch += n;
+      }
+    }
+    live = std::move(fed);
+    if (live.empty()) return;
+
+    WireError reject;
+    const std::optional<Plan> plan = ResolvePlan(*model, live.front()->request, batch, &reject);
+    if (!plan) {
+      for (const auto& job : live) fail(*job, reject);
+      return;
+    }
+    // Per-shard progress for /statusz (a sharded plan has one member).
+    Job& lead = *live.front();
+    if (plan->shards > 1) lead.shards_total.store(static_cast<uint32_t>(plan->shards));
+    // The shared compile and proof run under the group's earliest deadline
+    // (WorkerLoop makes it the lead's): that token expires, and is reaped by
+    // the watchdog, no later than any other member's.
+    const CancelToken& cancel =
+        *(*std::min_element(live.begin(), live.end(), [](const auto& a, const auto& b) {
+           return a->deadline_tp < b->deadline_tp;
+         }))->cancel;
+
+    set_stage(WireStage::kCompile);
+    const auto compile_start = SteadyClock::now();
+    ZkmlOptions zo;
+    zo.backend = lead.request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
+    zo.optimizer.backend = zo.backend;
+    zo.optimizer.min_columns = options_.optimizer_min_columns;
+    zo.optimizer.max_columns = options_.optimizer_max_columns;
+    zo.optimizer.max_k = options_.optimizer_max_k;
+    ModelPartition partition;
+    bool cache_hit = true;
+    // Builds circuit i on a cache miss: the batched circuit, the model, or shard i.
+    const auto compile = [&](size_t i) -> StatusOr<std::shared_ptr<const CompiledModel>> {
       cache_hit = false;
-      ZkmlOptions zo;
-      zo.backend = lead->request.backend == 1 ? PcsKind::kIpa : PcsKind::kKzg;
-      zo.optimizer.backend = zo.backend;
-      zo.optimizer.min_columns = options_.optimizer_min_columns;
-      zo.optimizer.max_columns = options_.optimizer_max_columns;
-      zo.optimizer.max_k = options_.optimizer_max_k;
-      StatusOr<CompiledBatchedModel> cb = CompileBatched(*model, batch, zo);
-      if (!cb.ok()) return cb.status();
-      return std::make_shared<const CompiledModel>(std::move(cb->compiled));
-    });
-  }();
-  counters_->stage_compile->Record(SecondsBetween(compile_start, SteadyClock::now()));
-  if (!compiled.ok()) {
-    counters_->jobs_failed_internal.Inc(batch);
-    fail_all(WireErrorCode::kInternal, WireStage::kCompile, compiled.status().message());
-    log_outcome();
-    return;
+      if (plan->artifact == ArtifactKind::kBatched) {
+        ZKML_ASSIGN_OR_RETURN(CompiledBatchedModel cb, CompileBatched(*model, plan->batch, zo));
+        return std::make_shared<const CompiledModel>(std::move(cb.compiled));
+      }
+      const bool sharded = plan->artifact == ArtifactKind::kSharded;
+      return std::make_shared<const CompiledModel>(
+          CompileModel(sharded ? partition.shards[i].model : *model, zo));
+    };
+    std::vector<std::shared_ptr<const CompiledModel>> circuits(plan->keys.size());
+    const Status compiled = [&]() -> Status {
+      obs::Span span("serve.compile");
+      if (plan->artifact == ArtifactKind::kSharded) {
+        ZKML_ASSIGN_OR_RETURN(partition, PartitionModel(*model, plan->shards));
+      }
+      for (size_t i = 0; i < circuits.size(); ++i) {
+        ZKML_ASSIGN_OR_RETURN(circuits[i],
+                              cache_.GetOrCompile(plan->keys[i], [&] { return compile(i); }));
+        ZKML_RETURN_IF_ERROR(cancel.Check("compile"));
+      }
+      return Status::Ok();
+    }();
+    const double compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
+    counters_->stage_compile->Record(compile_seconds);
+    if (!compiled.ok()) {
+      for (const auto& job : live) fail_status(*job, compiled, WireStage::kCompile);
+      return;
+    }
+
+    set_stage(WireStage::kWitness);
+    const auto witness_start = SteadyClock::now();
+    std::vector<Tensor<int64_t>> inputs;
+    {
+      obs::Span span("serve.witness");
+      // Slice i of an explicit input, or one distinct synthetic draw per
+      // inference seeded seed + i (reproducible, not N copies of one tensor).
+      for (const auto& job : live) {
+        const ProveRequest& req = job->request;
+        for (size_t i = 0; i < InferencesOf(req); ++i) {
+          const auto first = req.input.begin() + static_cast<ptrdiff_t>(i * per);
+          inputs.push_back(req.input.empty()
+                               ? QuantizeTensor(SyntheticInput(*model, req.seed + i), model->quant)
+                               : Tensor<int64_t>(model->input_shape,
+                                                 {first, first + static_cast<ptrdiff_t>(per)}));
+        }
+      }
+    }
+    counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
+
+    // Plans differ only in the prove call, artifact encoding, and job report.
+    set_stage(WireStage::kProve);
+    const auto prove_start = SteadyClock::now();
+    const bool want_report = !options_.report_dir.empty();
+    std::vector<uint8_t> artifact;
+    std::vector<Fr> instance;
+    std::vector<Tensor<int64_t>> outputs;  // one per inference, in member order
+    obs::Json report;
+    const Status proved = [&]() -> Status {
+      obs::Span span("serve.prove");
+      switch (plan->artifact) {
+        case ArtifactKind::kPlonk: {
+          ZKML_ASSIGN_OR_RETURN(ZkmlProof proof,
+                                ProveCancellable(*circuits[0], inputs[0], &cancel));
+          if (want_report) report = BuildRunReport(*circuits[0], proof, 0.0, model->name).ToJson();
+          artifact = std::move(proof.bytes);
+          instance = std::move(proof.instance);
+          outputs.push_back(std::move(proof.output_q));
+          break;
+        }
+        case ArtifactKind::kBatched: {
+          ZKML_ASSIGN_OR_RETURN(BatchedProof proof,
+                                CreateBatchedProof(*circuits[0], inputs, &cancel));
+          if (want_report) report = BatchedReportJson(*circuits[0], proof);
+          artifact = EncodeBatchedProof(proof);
+          instance = std::move(proof.instance);
+          outputs = std::move(proof.outputs_q);
+          break;
+        }
+        case ArtifactKind::kSharded: {
+          const CompiledShardedModel sharded{*model, std::move(partition), circuits, zo.backend,
+                                             compile_seconds};
+          ZKML_ASSIGN_OR_RETURN(
+              ShardedProof proof,
+              CreateShardedProof(sharded, inputs[0], &cancel, [&](size_t done, size_t) {
+                lead.shards_done.store(static_cast<uint32_t>(done), std::memory_order_relaxed);
+              }));
+          if (want_report) report = ShardedReportJson(sharded, proof);
+          artifact = EncodeShardedProof(proof);
+          instance = std::move(proof.instance);
+          outputs.push_back(std::move(proof.output_q));
+          break;
+        }
+      }
+      return Status::Ok();
+    }();
+    const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
+    counters_->stage_prove->Record(prove_seconds);
+    // Plan-labelled series beside the aggregate, so sharding's scaling and
+    // batching's amortization are visible per N (e.g. ...prove.shards4).
+    for (const auto& [label, n] : {std::pair<const char*, size_t>{"shards", plan->shards},
+                                   {"batch", plan->batch}}) {
+      if (n <= 1) continue;
+      obs::MetricsRegistry::Global()
+          .histogram("serve.stage_seconds.prove." + std::string(label) + std::to_string(n),
+                     kStageSecondsBuckets)
+          .Record(prove_seconds);
+    }
+    if (!proved.ok()) {
+      for (const auto& job : live) fail_status(*job, proved, WireStage::kProve);
+      return;
+    }
+
+    if (want_report) {
+      if (live.size() > 1) report.Set("coalesced", static_cast<uint64_t>(live.size()));
+      // Report I/O must never fail a proved job.
+      std::ofstream out(options_.report_dir + "/job_" + std::to_string(lead.id) + ".json");
+      if (out) out << report.DumpPretty() << "\n";
+    }
+
+    // Every member gets the shared artifact and the whole statement (both
+    // are needed to verify), plus the outputs of its own inferences.
+    set_stage(WireStage::kRespond);
+    const auto finished = SteadyClock::now();
+    size_t next = 0;
+    for (const auto& job : live) {
+      ProveResponse& resp = job->response;
+      resp.proof = artifact;
+      resp.instance = instance;
+      for (const size_t end = next + InferencesOf(job->request); next < end; ++next) {
+        const std::vector<int64_t> out = outputs[next].ToVector();
+        resp.output.insert(resp.output.end(), out.begin(), out.end());
+      }
+      resp.queue_micros = MicrosBetween(job->enqueued, started);
+      resp.prove_micros = MicrosBetween(started, finished);
+      resp.cache_hit = cache_hit ? 1 : 0;
+      resp.shards = static_cast<uint32_t>(plan->shards);
+      resp.batch = static_cast<uint32_t>(plan->batch);
+      job->ok = true;
+      counters_->jobs_completed.Inc();
+      counters_->job_seconds->Record(SecondsBetween(job->enqueued, finished));
+    }
+  };
+
+  // Every Nth admitted job is sampled: one Tracer records the group's shared
+  // work, and its scope closes before export so all spans are complete.
+  const auto sampled = [&](const Job& job) {
+    return options_.trace_sample_every > 0 && (job.id - 1) % options_.trace_sample_every == 0;
+  };
+  std::optional<obs::Tracer> tracer;
+  if (std::ranges::any_of(group, [&](const auto& job) { return sampled(*job); })) tracer.emplace();
+  {
+    std::optional<obs::TracerScope> scope;
+    if (tracer) scope.emplace(&*tracer);
+    run();
   }
 
-  set_stage(WireStage::kWitness);
-  const Model& m = (*compiled)->model;
-  std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(batch);
   for (const auto& job : group) {
-    if (!job->request.input.empty()) {
-      inputs_q.emplace_back(m.input_shape, job->request.input);
-    } else {
-      inputs_q.push_back(QuantizeTensor(SyntheticInput(m, job->request.seed), m.quant));
+    if (tracer && sampled(*job)) {
+      obs::Json doc = tracer->ToReportJson();
+      doc.Set("job_id", job->id);
+      doc.Set("request_id", job->request_id);
+      doc.Set("outcome", job->ok ? "ok" : WireErrorCodeName(job->error.code));
+      if (!job->ok) doc.Set("error_stage", WireStageName(job->error.stage));
+      trace_ring_.Add(std::move(doc));
     }
-  }
-
-  // The lead job's token drives cancellation: it holds the oldest budget in
-  // the group, so a deadline that fires first fires there.
-  set_stage(WireStage::kProve);
-  const auto prove_start = SteadyClock::now();
-  StatusOr<BatchedProof> proof = [&] {
-    obs::Span span("serve.prove");
-    return CreateBatchedProof(**compiled, inputs_q, lead->cancel.get());
-  }();
-  const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
-  counters_->stage_prove->Record(prove_seconds);
-  obs::MetricsRegistry::Global()
-      .histogram("serve.stage_seconds.prove.batch" + std::to_string(batch),
-                 kStageSecondsBuckets)
-      .Record(prove_seconds);
-  if (!proof.ok()) {
-    if (proof.status().code() == StatusCode::kCancelled) {
-      counters_->jobs_cancelled.Inc(batch);
-      fail_all(WireErrorCode::kCancelled, WireStage::kProve,
-               lead->reaped.load(std::memory_order_relaxed)
-                   ? "reaped by watchdog: " + proof.status().message()
-                   : proof.status().message());
-    } else if (proof.status().code() == StatusCode::kDeadlineExceeded) {
-      counters_->jobs_deadline_exceeded.Inc(batch);
-      fail_all(WireErrorCode::kDeadlineExceeded, WireStage::kProve, proof.status().message());
-    } else {
-      counters_->jobs_failed_internal.Inc(batch);
-      fail_all(WireErrorCode::kInternal, WireStage::kProve, proof.status().message());
+    if (event_log_ == nullptr) continue;
+    obs::Json fields = obs::Json::Object();
+    fields.Set("job_id", job->id);
+    fields.Set("request_id", job->request_id);
+    if (group.size() > 1) fields.Set("coalesced", static_cast<uint64_t>(group.size()));
+    fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
+    const char* event = "job_completed";
+    if (!job->ok) {
+      const WireErrorCode code = job->error.code;
+      fields.Set("error", WireErrorCodeName(code));
+      fields.Set("stage", WireStageName(job->error.stage));
+      event = code == WireErrorCode::kDeadlineExceeded ? "job_deadline_exceeded"
+              : code != WireErrorCode::kCancelled      ? "job_failed"
+              : job->reaped.load(std::memory_order_relaxed) ? "job_reaped"
+                                                            : "job_cancelled";
     }
-    log_outcome();
-    return;
+    LogEvent(event, std::move(fields));
   }
-
-  if (!options_.report_dir.empty()) {
-    obs::Json doc = BatchedReportJson(**compiled, *proof);
-    doc.Set("coalesced", static_cast<uint64_t>(batch));
-    const std::string path =
-        options_.report_dir + "/job_" + std::to_string(lead->id) + ".json";
-    std::ofstream out(path);
-    if (out) out << doc.DumpPretty() << "\n";
-  }
-
-  // Every member gets the shared artifact and the full concatenated
-  // statement (both are needed to verify), plus its own inference's output.
-  set_stage(WireStage::kRespond);
-  const auto finished = SteadyClock::now();
-  const std::vector<uint8_t> artifact = EncodeBatchedProof(*proof);
-  for (size_t i = 0; i < group.size(); ++i) {
-    const std::shared_ptr<Job>& job = group[i];
-    job->response.proof = artifact;
-    job->response.instance = proof->instance;
-    job->response.output = proof->outputs_q[i].ToVector();
-    job->response.queue_micros = MicrosBetween(job->enqueued, started);
-    job->response.prove_micros = MicrosBetween(started, finished);
-    job->response.cache_hit = cache_hit ? 1 : 0;
-    job->response.shards = 1;
-    job->response.batch = static_cast<uint32_t>(batch);
-    job->ok = true;
-    counters_->job_seconds->Record(
-        std::chrono::duration<double>(finished - job->enqueued).count());
-  }
-  counters_->jobs_completed.Inc(batch);
-  log_outcome();
-}
-
-void ZkmlServer::WriteJobReport(const Job& job, const CompiledModel& compiled,
-                                const ZkmlProof& proof) {
-  obs::RunReport report = BuildRunReport(compiled, proof, 0.0, compiled.model.name);
-  const std::string path = options_.report_dir + "/job_" + std::to_string(job.id) + ".json";
-  // Report I/O must never fail a job that proved successfully.
-  const Status ignored = report.WriteFile(path);
-  (void)ignored;
 }
 
 void ZkmlServer::WatchdogLoop() {

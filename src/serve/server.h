@@ -67,10 +67,11 @@ struct ServeOptions {
 
   // Request coalescing: a worker that dequeues a single-inference job may
   // also claim up to coalesce_max - 1 compatible queued jobs (same model,
-  // same backend, unsharded, wire v3+) and prove them all in ONE batched
-  // circuit; each client gets the shared zkml.batched_proof/v1 artifact plus
-  // its own output. 1 disables (the default — coalescing trades per-job
-  // latency for aggregate throughput, an operator decision).
+  // same backend, unsharded, deadline no earlier than its own) and prove them
+  // all in ONE batched circuit; each client gets the shared
+  // zkml.batched_proof/v1 artifact plus its own output. 1 disables (the
+  // default — coalescing trades per-job latency for aggregate throughput, an
+  // operator decision).
   size_t coalesce_max = 1;
 
   // Optimizer envelope used when compiling models (mirrors the CLI).
@@ -156,41 +157,22 @@ class ZkmlServer {
   void WorkerLoop(int worker_index);
   void WatchdogLoop();
 
-  // Runs one job to completion (the worker body). Fills job->response/error.
-  // ExecuteJob wraps ExecuteJobInner with trace sampling and event emission.
-  void ExecuteJob(const std::shared_ptr<Job>& job);
-  void ExecuteJobInner(const std::shared_ptr<Job>& job);
-  // Sharded-prove pipeline (request.shards > 1 and the model admits cuts):
-  // per-shard compilations flow through the cache under shard-suffixed keys,
-  // and the response carries a zkml.sharded_proof/v1 artifact.
-  void ExecuteShardedJob(const std::shared_ptr<Job>& job, const Model& model,
-                         size_t num_shards, uint64_t queue_micros,
-                         std::chrono::steady_clock::time_point started);
-  // Batched-prove pipeline (request.batch > 1): one circuit proves `batch`
-  // inferences; the compilation is cached under a batch-suffixed key and the
-  // response carries a zkml.batched_proof/v1 artifact.
-  void ExecuteBatchedJob(const std::shared_ptr<Job>& job, const Model& model, size_t batch,
-                         uint64_t queue_micros, std::chrono::steady_clock::time_point started);
-  // Coalesced group (all jobs share one model/backend): proves every job's
-  // inference in one batched circuit and fans the shared artifact back out.
-  // Fills each job's response/error; the caller still owns promise delivery.
-  void ExecuteCoalescedJobs(const std::vector<std::shared_ptr<Job>>& group);
+  // The one executor (the worker body): proves a group of jobs — one job,
+  // or the jobs coalescing claimed with it — through a single resolved plan
+  // {shards, batch}, and fills every member's response or error. The caller
+  // still owns promise delivery.
+  void ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group);
 
   // Queue admission; null with *err filled (OVERLOADED / SHUTTING_DOWN) when
   // the job was not accepted.
-  std::shared_ptr<Job> AdmitJob(ProveRequest request, uint64_t request_id,
-                                uint8_t wire_version, WireError* err);
+  std::shared_ptr<Job> AdmitJob(ProveRequest request, uint64_t request_id, WireError* err);
 
   // False when the client could not be written to (it is then disconnected).
-  // `version` stamps the frame header so a down-level client is answered at
-  // the version it spoke.
   bool SendFrame(Connection& conn, FrameType type, uint64_t request_id,
-                 const std::vector<uint8_t>& payload, uint8_t version = kWireVersion);
-  bool SendError(Connection& conn, uint64_t request_id, const WireError& err,
-                 uint8_t version = kWireVersion);
+                 const std::vector<uint8_t>& payload);
+  bool SendError(Connection& conn, uint64_t request_id, const WireError& err);
 
   void PublishMetrics();
-  void WriteJobReport(const Job& job, const CompiledModel& compiled, const ZkmlProof& proof);
 
   // Ops plane: admin route registration, rate sampling, event emission.
   Status StartAdmin();

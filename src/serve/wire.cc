@@ -131,10 +131,10 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
 }
 
 void EncodeFrame(std::vector<uint8_t>* out, FrameType type, uint64_t request_id,
-                 const std::vector<uint8_t>& payload, uint8_t version) {
+                 const std::vector<uint8_t>& payload) {
   out->reserve(out->size() + kFrameHeaderSize + payload.size());
   out->insert(out->end(), kWireMagic, kWireMagic + 4);
-  out->push_back(version);
+  out->push_back(kWireVersion);
   out->push_back(static_cast<uint8_t>(type));
   AppendLe<uint16_t>(out, 0);  // reserved
   AppendLe<uint64_t>(out, request_id);
@@ -150,11 +150,10 @@ StatusOr<FrameHeader> DecodeFrameHeader(const uint8_t* buf, uint32_t max_frame_b
     *wire_code = WireErrorCode::kBadMagic;
     return MalformedProofError("bad frame magic (expected \"ZKSV\")");
   }
-  if (buf[4] < kMinWireVersion || buf[4] > kWireVersion) {
+  if (buf[4] != kWireVersion) {
     *wire_code = WireErrorCode::kBadVersion;
     return MalformedProofError("unsupported wire version " + std::to_string(buf[4]) +
-                               " (this server speaks versions " +
-                               std::to_string(kMinWireVersion) + ".." +
+                               " (this server speaks version " +
                                std::to_string(kWireVersion) + ")");
   }
   const uint8_t type = buf[5];
@@ -172,7 +171,6 @@ StatusOr<FrameHeader> DecodeFrameHeader(const uint8_t* buf, uint32_t max_frame_b
     return MalformedProofError("reserved header bits set (" + std::to_string(reserved) + ")");
   }
   FrameHeader header;
-  header.version = buf[4];
   header.type = static_cast<FrameType>(type);
   for (int i = 0; i < 8; ++i) {
     header.request_id |= static_cast<uint64_t>(buf[8 + i]) << (8 * i);
@@ -200,7 +198,7 @@ Status CheckPayloadCrc(const FrameHeader& header, const std::vector<uint8_t>& pa
   return Status::Ok();
 }
 
-std::vector<uint8_t> EncodeProveRequest(const ProveRequest& req, uint8_t version) {
+std::vector<uint8_t> EncodeProveRequest(const ProveRequest& req) {
   std::vector<uint8_t> out;
   out.push_back(req.backend);
   AppendLe<uint32_t>(&out, req.deadline_ms);
@@ -211,16 +209,12 @@ std::vector<uint8_t> EncodeProveRequest(const ProveRequest& req, uint8_t version
   }
   AppendLe<uint32_t>(&out, static_cast<uint32_t>(req.model_text.size()));
   out.insert(out.end(), req.model_text.begin(), req.model_text.end());
-  if (version >= 2) {
-    AppendLe<uint32_t>(&out, req.shards);
-  }
-  if (version >= 3) {
-    AppendLe<uint32_t>(&out, req.batch);
-  }
+  AppendLe<uint32_t>(&out, req.shards);
+  AppendLe<uint32_t>(&out, req.batch);
   return out;
 }
 
-StatusOr<ProveRequest> DecodeProveRequest(const std::vector<uint8_t>& payload, uint8_t version) {
+StatusOr<ProveRequest> DecodeProveRequest(const std::vector<uint8_t>& payload) {
   ProveRequest req;
   size_t off = 0;
   ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &req.backend, "backend"));
@@ -247,34 +241,16 @@ StatusOr<ProveRequest> DecodeProveRequest(const std::vector<uint8_t>& payload, u
   std::vector<uint8_t> model_bytes;
   ZKML_RETURN_IF_ERROR(ReadBytes(payload, &off, model_len, "model text", &model_bytes));
   req.model_text.assign(model_bytes.begin(), model_bytes.end());
-  if (version >= 2) {
-    ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &req.shards, "shard count"));
-  } else if (payload.size() - off == 4) {
-    // A version-1 frame must not carry the v2 shards field. Tolerating these
-    // four bytes would let a client request sharded proving while advertising
-    // a version that predates it — hard-reject with the specific diagnosis
-    // rather than the generic trailing-bytes message.
-    uint32_t smuggled = 0;
-    size_t peek = off;
-    ZKML_RETURN_IF_ERROR(ReadLe(payload, &peek, &smuggled, "trailing field"));
-    if (smuggled != 0) {
-      return MalformedProofError("version-1 prove request carries a nonzero trailing shards "
-                                 "field (" + std::to_string(smuggled) +
-                                 "); sharded proving requires wire version >= 2");
-    }
-  }
-  if (version >= 3) {
-    ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &req.batch, "batch size"));
-  }
+  ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &req.shards, "shard count"));
+  ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &req.batch, "batch size"));
   if (off != payload.size()) {
     return MalformedProofError(std::to_string(payload.size() - off) +
-                               " trailing byte(s) in version-" + std::to_string(version) +
-                               " prove request");
+                               " trailing byte(s) in prove request");
   }
   return req;
 }
 
-std::vector<uint8_t> EncodeProveResponse(const ProveResponse& resp, uint8_t version) {
+std::vector<uint8_t> EncodeProveResponse(const ProveResponse& resp) {
   std::vector<uint8_t> out;
   AppendLe<uint64_t>(&out, resp.queue_micros);
   AppendLe<uint64_t>(&out, resp.prove_micros);
@@ -289,17 +265,12 @@ std::vector<uint8_t> EncodeProveResponse(const ProveResponse& resp, uint8_t vers
   for (int64_t v : resp.output) {
     AppendLe<uint64_t>(&out, static_cast<uint64_t>(v));
   }
-  if (version >= 2) {
-    AppendLe<uint32_t>(&out, resp.shards);
-  }
-  if (version >= 3) {
-    AppendLe<uint32_t>(&out, resp.batch);
-  }
+  AppendLe<uint32_t>(&out, resp.shards);
+  AppendLe<uint32_t>(&out, resp.batch);
   return out;
 }
 
-StatusOr<ProveResponse> DecodeProveResponse(const std::vector<uint8_t>& payload,
-                                            uint8_t version) {
+StatusOr<ProveResponse> DecodeProveResponse(const std::vector<uint8_t>& payload) {
   ProveResponse resp;
   size_t off = 0;
   ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &resp.queue_micros, "queue micros"));
@@ -330,16 +301,11 @@ StatusOr<ProveResponse> DecodeProveResponse(const std::vector<uint8_t>& payload,
     ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &raw, "output value"));
     resp.output[i] = static_cast<int64_t>(raw);
   }
-  if (version >= 2) {
-    ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &resp.shards, "response shard count"));
-  }
-  if (version >= 3) {
-    ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &resp.batch, "response batch size"));
-  }
+  ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &resp.shards, "response shard count"));
+  ZKML_RETURN_IF_ERROR(ReadLe(payload, &off, &resp.batch, "response batch size"));
   if (off != payload.size()) {
     return MalformedProofError(std::to_string(payload.size() - off) +
-                               " trailing byte(s) in version-" + std::to_string(version) +
-                               " prove response");
+                               " trailing byte(s) in prove response");
   }
   return resp;
 }

@@ -17,10 +17,10 @@
 //   24      n     payload
 //
 // Versioning rules: the header layout through the version byte is frozen
-// forever; a reader that sees an unknown version must reject with
-// kBadVersion (never guess). Adding frame types or appending payload fields
-// bumps kWireVersion; payloads reject trailing bytes, so readers cannot
-// silently ignore fields they do not understand.
+// forever; a reader that sees any version but kWireVersion must reject with
+// kBadVersion (never guess). Adding frame types or payload fields bumps
+// kWireVersion; payloads reject trailing bytes, so readers cannot silently
+// ignore fields they do not understand.
 #ifndef SRC_SERVE_WIRE_H_
 #define SRC_SERVE_WIRE_H_
 
@@ -35,14 +35,7 @@ namespace zkml {
 namespace serve {
 
 inline constexpr uint8_t kWireMagic[4] = {'Z', 'K', 'S', 'V'};
-// v2: ProveRequest/ProveResponse grew a trailing `shards` field (sharded
-// proving); v1 readers would see trailing bytes, so the version was bumped.
-// v3: a trailing `batch` field (batched multi-inference proving). The server
-// now accepts every version in [kMinWireVersion, kWireVersion], decodes each
-// payload against the frame's declared version (a version-1 frame smuggling
-// v2 fields as trailing bytes is hard-rejected, never silently ignored), and
-// answers at the version the client spoke.
-inline constexpr uint8_t kMinWireVersion = 1;
+// The one protocol version this daemon and its clients speak.
 inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderSize = 24;
 // Default cap on payload size; a length prefix above the cap is rejected
@@ -93,7 +86,6 @@ enum class WireErrorCode : uint16_t {
 const char* WireErrorCodeName(WireErrorCode code);
 
 struct FrameHeader {
-  uint8_t version = kWireVersion;  // the version the peer spoke
   FrameType type = FrameType::kError;
   uint64_t request_id = 0;
   uint32_t payload_len = 0;
@@ -103,10 +95,9 @@ struct FrameHeader {
 // CRC-32 (IEEE 802.3, reflected) over `len` bytes.
 uint32_t Crc32(const uint8_t* data, size_t len);
 
-// Appends a complete frame (header + payload) to `out`. `version` lets the
-// server answer a down-level client at the version it spoke.
+// Appends a complete frame (header + payload) to `out`.
 void EncodeFrame(std::vector<uint8_t>* out, FrameType type, uint64_t request_id,
-                 const std::vector<uint8_t>& payload, uint8_t version = kWireVersion);
+                 const std::vector<uint8_t>& payload);
 
 // Validates and decodes a frame header from exactly kFrameHeaderSize bytes.
 // Fails kMalformedProof with a message naming the offending field; the
@@ -127,11 +118,11 @@ struct ProveRequest {
   uint64_t seed = 0;                 // synthetic-input seed when input empty
   std::vector<int64_t> input;        // explicit quantized input (optional)
   // Requested shard count: 0/1 = single circuit, >1 = sharded proving (the
-  // server clamps to what the model's graph admits). v2 field.
+  // server clamps to what the model's graph admits).
   uint32_t shards = 0;
   // Requested batch size: 0/1 = one inference, >1 = batched multi-inference
   // proving (one circuit, N inferences). With an explicit `input`, it must
-  // carry batch x model-input elements, inference-major. v3 field.
+  // carry batch x model-input elements, inference-major.
   uint32_t batch = 0;
 };
 
@@ -143,11 +134,11 @@ struct ProveResponse {
   uint64_t prove_micros = 0;         // witness + proof construction
   uint8_t cache_hit = 0;             // compiled-circuit cache hit
   // Shard count actually proved (after clamping): <=1 means `proof` is a
-  // single-circuit proof, >1 a zkml.sharded_proof/v1 artifact. v2 field.
+  // single-circuit proof, >1 a zkml.sharded_proof/v1 artifact.
   uint32_t shards = 0;
   // Batch size actually proved: <=1 means one inference; >1 means `proof` is
   // a zkml.batched_proof/v1 artifact and `instance`/`output` concatenate the
-  // per-inference statements/outputs in order. v3 field.
+  // per-inference statements/outputs in order.
   uint32_t batch = 0;
 };
 
@@ -159,19 +150,11 @@ struct WireError {
   std::string ToString() const;
 };
 
-// Prove payload codecs are version-aware: fields introduced after `version`
-// are not written, and the decoder reads exactly the fields that version
-// defines. A version-1 payload trailed by a nonzero shards field (a v2
-// client lying about its version) is hard-rejected with a pointed message.
-std::vector<uint8_t> EncodeProveRequest(const ProveRequest& req,
-                                        uint8_t version = kWireVersion);
-StatusOr<ProveRequest> DecodeProveRequest(const std::vector<uint8_t>& payload,
-                                          uint8_t version = kWireVersion);
+std::vector<uint8_t> EncodeProveRequest(const ProveRequest& req);
+StatusOr<ProveRequest> DecodeProveRequest(const std::vector<uint8_t>& payload);
 
-std::vector<uint8_t> EncodeProveResponse(const ProveResponse& resp,
-                                         uint8_t version = kWireVersion);
-StatusOr<ProveResponse> DecodeProveResponse(const std::vector<uint8_t>& payload,
-                                            uint8_t version = kWireVersion);
+std::vector<uint8_t> EncodeProveResponse(const ProveResponse& resp);
+StatusOr<ProveResponse> DecodeProveResponse(const std::vector<uint8_t>& payload);
 
 std::vector<uint8_t> EncodeWireError(const WireError& err);
 StatusOr<WireError> DecodeWireError(const std::vector<uint8_t>& payload);

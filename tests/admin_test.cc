@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <iterator>
@@ -222,6 +223,44 @@ TEST(AdminTest, OpsPlaneEndToEnd) {
   EXPECT_NE(text.find("\"event\":\"job_completed\""), std::string::npos);
   EXPECT_NE(text.find("\"event\":\"drain_started\""), std::string::npos);
   EXPECT_NE(text.find("\"event\":\"server_stopped\""), std::string::npos);
+}
+
+TEST(AdminTest, StatuszShowsShardMarkerWhileShardedJobRuns) {
+  ZkmlServer server(OpsServe(""));
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t admin = server.admin_port();
+
+  // One 2-shard prove on a background thread while /statusz is polled: the
+  // running job's row must carry a "done/total" shard marker.
+  StatusOr<ZkmlClient> client = ZkmlClient::Connect("127.0.0.1", server.port(), kHttpMs);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ProveRequest req;
+  req.model_text = SerializeModel(MakeMnistCnn());
+  req.seed = 5;
+  req.shards = 2;
+  StatusOr<ZkmlClient::ProveOutcome> outcome = ZkmlClient::ProveOutcome{};
+  std::atomic<bool> done{false};
+  std::thread prover([&] {
+    outcome = client->Prove(req, 1, kProveWaitMs);
+    done.store(true);
+  });
+
+  std::set<std::string> markers;
+  while (!done.load()) {
+    const obs::Json status = MustJson(MustGet(admin, "/statusz").body);
+    for (const obs::Json& row : status.Find("workers")->items()) {
+      if (const obs::Json* shard = row.Find("shard")) markers.insert(shard->AsString());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  prover.join();
+  ASSERT_TRUE(outcome.ok() && outcome->ok);
+  EXPECT_EQ(outcome->response.shards, 2u);
+  ASSERT_FALSE(markers.empty()) << "no /statusz row carried a shard marker";
+  for (const std::string& marker : markers) {
+    EXPECT_TRUE(marker == "0/2" || marker == "1/2" || marker == "2/2") << marker;
+  }
+  server.Stop();
 }
 
 }  // namespace
