@@ -407,6 +407,38 @@ void BM_CommitViaIfft(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitViaIfft)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
 
+// One prover commit round: 30 evaluation vectors of 2^k points (mnist's
+// lookup-perm-commit round is 30 x 2^9), committed as one batched call
+// (second argument 1) against a loop of single calls (0). Below the MSM's
+// parallel threshold each lone MSM runs serially, so only the batch spreads
+// the round over the pool.
+void BM_CommitRound(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const bool batched = state.range(1) != 0;
+  const size_t n = static_cast<size_t>(1) << k;
+  KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(n, 11)));
+  Rng rng(8);
+  std::vector<std::vector<Fr>> round(30, std::vector<Fr>(n));
+  for (std::vector<Fr>& v : round) {
+    for (Fr& e : v) {
+      e = Fr::Random(rng);
+    }
+  }
+  benchmark::DoNotOptimize(pcs.CommitLagrange(round[0]));  // warm the basis cache
+  for (auto _ : state) {
+    if (batched) {
+      benchmark::DoNotOptimize(pcs.CommitLagrange(PolyPointers(round)));
+    } else {
+      for (const std::vector<Fr>& v : round) {
+        benchmark::DoNotOptimize(pcs.CommitLagrange(v));
+      }
+    }
+  }
+  state.counters["size"] = static_cast<double>(n);
+  state.counters["commits"] = static_cast<double>(round.size());
+}
+BENCHMARK(BM_CommitRound)->Args({9, 0})->Args({9, 1})->Unit(benchmark::kMillisecond);
+
 // --- threads>1 series ------------------------------------------------------
 //
 // The MSM/FFT kernels size their parallelism off the affinity-sized global

@@ -30,23 +30,6 @@ IpaSetup IpaSetup::Create(size_t max_len, uint64_t seed) {
   return setup;
 }
 
-PcsCommitment IpaPcs::Commit(const std::vector<Fr>& coeffs) const {
-  ZKML_CHECK_MSG(coeffs.size() <= setup_->g.size(), "polynomial exceeds IPA setup");
-  static obs::Counter& commits = obs::MetricsRegistry::Global().counter("pcs.ipa.commits");
-  commits.Increment();
-  return PcsCommitment{Msm(setup_->g.data(), coeffs.data(), coeffs.size()).ToAffine()};
-}
-
-PcsCommitment IpaPcs::CommitLagrange(const std::vector<Fr>& evals) const {
-  static obs::Counter& commits =
-      obs::MetricsRegistry::Global().counter("pcs.ipa.lagrange_commits");
-  commits.Increment();
-  // The Pedersen bases are structureless, but the commitment is linear in
-  // them, so the same IFFT-transpose transform applies (see pcs.h).
-  const std::vector<G1Affine>& bases = lagrange_.Get(setup_->g, evals.size());
-  return PcsCommitment{Msm(bases.data(), evals.data(), evals.size()).ToAffine()};
-}
-
 void IpaPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                        Transcript* transcript, std::vector<uint8_t>* proof_out) const {
   obs::Span span("ipa-open-batch");

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/pcs/lagrange_basis.h"
 #include "src/pcs/pcs.h"
 
 namespace zkml {
@@ -29,10 +28,8 @@ class IpaPcs : public Pcs {
   explicit IpaPcs(std::shared_ptr<const IpaSetup> setup) : setup_(std::move(setup)) {}
 
   PcsKind kind() const override { return PcsKind::kIpa; }
-  size_t max_len() const override { return setup_->g.size(); }
+  const std::vector<G1Affine>& bases() const override { return setup_->g; }
 
-  PcsCommitment Commit(const std::vector<Fr>& coeffs) const override;
-  PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const override;
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
   Status VerifyBatch(const std::vector<PcsCommitment>& commitments, const std::vector<Fr>& evals,
@@ -41,7 +38,6 @@ class IpaPcs : public Pcs {
 
  private:
   std::shared_ptr<const IpaSetup> setup_;
-  LagrangeBasisCache lagrange_;
 };
 
 }  // namespace zkml

@@ -31,21 +31,6 @@ KzgSetup KzgSetup::Create(size_t max_len, uint64_t seed) {
   return setup;
 }
 
-PcsCommitment KzgPcs::Commit(const std::vector<Fr>& coeffs) const {
-  ZKML_CHECK_MSG(coeffs.size() <= setup_->powers.size(), "polynomial exceeds KZG setup");
-  static obs::Counter& commits = obs::MetricsRegistry::Global().counter("pcs.kzg.commits");
-  commits.Increment();
-  return PcsCommitment{Msm(setup_->powers.data(), coeffs.data(), coeffs.size()).ToAffine()};
-}
-
-PcsCommitment KzgPcs::CommitLagrange(const std::vector<Fr>& evals) const {
-  static obs::Counter& commits =
-      obs::MetricsRegistry::Global().counter("pcs.kzg.lagrange_commits");
-  commits.Increment();
-  const std::vector<G1Affine>& bases = lagrange_.Get(setup_->powers, evals.size());
-  return PcsCommitment{Msm(bases.data(), evals.data(), evals.size()).ToAffine()};
-}
-
 void KzgPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                        Transcript* transcript, std::vector<uint8_t>* proof_out) const {
   obs::Span span("kzg-open-batch");

@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/pcs/lagrange_basis.h"
 #include "src/pcs/pcs.h"
 
 namespace zkml {
@@ -84,10 +83,8 @@ class KzgPcs : public Pcs {
   const std::shared_ptr<const KzgSetup>& shared_setup() const { return setup_; }
 
   PcsKind kind() const override { return PcsKind::kKzg; }
-  size_t max_len() const override { return setup_->powers.size(); }
+  const std::vector<G1Affine>& bases() const override { return setup_->powers; }
 
-  PcsCommitment Commit(const std::vector<Fr>& coeffs) const override;
-  PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const override;
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
   Status VerifyBatch(const std::vector<PcsCommitment>& commitments, const std::vector<Fr>& evals,
@@ -97,7 +94,6 @@ class KzgPcs : public Pcs {
  private:
   std::shared_ptr<const KzgSetup> setup_;
   KzgAccumulator* defer_ = nullptr;
-  LagrangeBasisCache lagrange_;
 };
 
 }  // namespace zkml

@@ -11,6 +11,7 @@
 #include "src/base/status.h"
 #include "src/ec/g1.h"
 #include "src/ff/fields.h"
+#include "src/pcs/lagrange_basis.h"
 #include "src/transcript/transcript.h"
 
 namespace zkml {
@@ -23,24 +24,48 @@ struct PcsCommitment {
   bool operator==(const PcsCommitment& o) const { return point == o.point; }
 };
 
+// The address of each vector, in order: the argument form of the batched
+// commit calls below.
+inline std::vector<const std::vector<Fr>*> PolyPointers(const std::vector<std::vector<Fr>>& vs) {
+  std::vector<const std::vector<Fr>*> out;
+  out.reserve(vs.size());
+  for (const std::vector<Fr>& v : vs) {
+    out.push_back(&v);
+  }
+  return out;
+}
+
 // A batch of polynomials opened at one point. `polys` are coefficient vectors.
 class Pcs {
  public:
   virtual ~Pcs() = default;
 
   virtual PcsKind kind() const = 0;
+  // Monomial commitment bases: tau^i·G for KZG, the Pedersen bases for IPA.
+  virtual const std::vector<G1Affine>& bases() const = 0;
   // Maximum number of coefficients a committed polynomial may have.
-  virtual size_t max_len() const = 0;
+  size_t max_len() const { return bases().size(); }
 
-  virtual PcsCommitment Commit(const std::vector<Fr>& coeffs) const = 0;
+  // Commits to each coefficient vector in `polys`; result i belongs to
+  // polys[i]. The K MSMs run as one task group on the global pool — each
+  // prover round commits all its vectors in one call, so a round of small
+  // MSMs (each serial below the MSM's own parallel threshold) still fills
+  // every core. A batch of one runs on the calling thread with the lone
+  // Msm() schedule.
+  std::vector<PcsCommitment> Commit(const std::vector<const std::vector<Fr>*>& polys) const;
+  PcsCommitment Commit(const std::vector<Fr>& coeffs) const;
 
-  // Commits to the polynomial whose evaluations over the radix-2 domain of
-  // size evals.size() (a power of two, <= max_len()) are `evals`, without an
-  // iFFT: the MSM runs against a Lagrange-basis SRS derived once per size by
-  // a G1 inverse FFT of the monomial bases and cached. The returned point is
+  // Commits to each polynomial whose evaluations over the radix-2 domain of
+  // size evals[i]->size() (a power of two, <= max_len()) are *evals[i],
+  // without an iFFT: the MSM runs against a Lagrange-basis SRS derived once
+  // per size by a G1 inverse FFT of the monomial bases and cached. The bases
+  // are fetched on the calling thread before the MSMs fan out, so a cold
+  // cache builds each size exactly once. Every returned point is
   // bit-identical to Commit(IfftToCoeffs(evals)) — both are the same group
   // element and affine serialization is canonical.
-  virtual PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const = 0;
+  std::vector<PcsCommitment> CommitLagrange(
+      const std::vector<const std::vector<Fr>*>& evals) const;
+  PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const;
 
   // Proves the evaluations of `polys` at `point`. The caller must already
   // have absorbed the claimed evaluations into `transcript`; the RLC batching
@@ -56,6 +81,9 @@ class Pcs {
   virtual Status VerifyBatch(const std::vector<PcsCommitment>& commitments,
                              const std::vector<Fr>& evals, const Fr& point, Transcript* transcript,
                              const std::vector<uint8_t>& proof, size_t* offset) const = 0;
+
+ private:
+  LagrangeBasisCache lagrange_;
 };
 
 }  // namespace zkml

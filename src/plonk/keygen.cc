@@ -86,16 +86,13 @@ ProvingKey Keygen(const ConstraintSystem& cs, const Assignment& assignment, cons
   // cache for the prover's evaluation-form commit rounds.
   pk.fixed_values = assignment.fixed();
   pk.fixed_coeffs.resize(pk.fixed_values.size());
-  pk.vk.fixed_commitments.resize(pk.fixed_values.size());
   {
     TaskGroup group;
     for (size_t i = 0; i < pk.fixed_values.size(); ++i) {
-      group.Submit([&, i] {
-        pk.fixed_coeffs[i] = pk.domain->IfftToCoeffs(pk.fixed_values[i]);
-        pk.vk.fixed_commitments[i] = pcs.CommitLagrange(pk.fixed_values[i]);
-      });
+      group.Submit([&, i] { pk.fixed_coeffs[i] = pk.domain->IfftToCoeffs(pk.fixed_values[i]); });
     }
   }
+  pk.vk.fixed_commitments = pcs.CommitLagrange(PolyPointers(pk.fixed_values));
 
   // Permutation sigmas.
   section.emplace("keygen-sigmas");
@@ -124,7 +121,6 @@ ProvingKey Keygen(const ConstraintSystem& cs, const Assignment& assignment, cons
 
   pk.sigma_values.assign(perm_cols.size(), std::vector<Fr>(n));
   pk.sigma_coeffs.resize(perm_cols.size());
-  pk.vk.sigma_commitments.resize(perm_cols.size());
   {
     TaskGroup group;
     for (size_t i = 0; i < perm_cols.size(); ++i) {
@@ -134,10 +130,10 @@ ProvingKey Keygen(const ConstraintSystem& cs, const Assignment& assignment, cons
           pk.sigma_values[i][r] = delta_pow[ci] * pk.domain->element(ri);
         }
         pk.sigma_coeffs[i] = pk.domain->IfftToCoeffs(pk.sigma_values[i]);
-        pk.vk.sigma_commitments[i] = pcs.CommitLagrange(pk.sigma_values[i]);
       });
     }
   }
+  pk.vk.sigma_commitments = pcs.CommitLagrange(PolyPointers(pk.sigma_values));
 
   // l_0 and l_{n-1}: interpolations of the indicator vectors.
   section.emplace("keygen-lagrange");

@@ -169,19 +169,17 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     return assignment.Get(q.column, static_cast<size_t>(r));
   };
 
+  // Each round computes all its vectors first and then commits them in one
+  // batched PCS call, whose MSMs run as one task group (see pcs.h).
+
   // --- Round 1: commit advice straight from evaluation form. ---
   // CommitLagrange(values) == Commit(IfftToCoeffs(values)) bit-for-bit (see
   // pcs.h), so interpolation is deferred to the quotient round — where the
   // coefficients are needed anyway — and the commit rounds run zero scalar
   // FFTs.
   const size_t num_advice = cs.num_advice_columns();
-  std::vector<PcsCommitment> advice_comms(num_advice);
-  {
-    TaskGroup group;
-    for (size_t i = 0; i < num_advice; ++i) {
-      group.Submit([&, i] { advice_comms[i] = pcs.CommitLagrange(assignment.advice()[i]); });
-    }
-  }
+  const std::vector<PcsCommitment> advice_comms =
+      pcs.CommitLagrange(PolyPointers(assignment.advice()));
   for (size_t i = 0; i < num_advice; ++i) {
     transcript.AppendPoint("advice", advice_comms[i].point);
     ProofAppendPoint(&proof, advice_comms[i].point);
@@ -193,7 +191,6 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   // --- Round 2: lookup multiplicities. ---
   const size_t num_lookups = cs.lookups().size();
   std::vector<std::vector<Fr>> lk_f(num_lookups), lk_t(num_lookups), lk_m(num_lookups);
-  std::vector<PcsCommitment> m_comms(num_lookups);
   {
     TaskGroup group;
     for (size_t l = 0; l < num_lookups; ++l) {
@@ -227,10 +224,10 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
                          ("lookup '" + lk.name + "' input missing").c_str());
           lk_m[l][it->second] += Fr::One();
         }
-        m_comms[l] = pcs.CommitLagrange(lk_m[l]);
       });
     }
   }
+  const std::vector<PcsCommitment> m_comms = pcs.CommitLagrange(PolyPointers(lk_m));
   for (size_t l = 0; l < num_lookups; ++l) {
     transcript.AppendPoint("lookup-m", m_comms[l].point);
     ProofAppendPoint(&proof, m_comms[l].point);
@@ -242,7 +239,6 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
 
   // --- Round 3a: lookup helper h and running sum S. ---
   std::vector<std::vector<Fr>> lk_h(num_lookups), lk_s(num_lookups);
-  std::vector<PcsCommitment> h_comms(num_lookups), s_comms(num_lookups);
   {
     TaskGroup group;
     for (size_t l = 0; l < num_lookups; ++l) {
@@ -263,8 +259,6 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
           }
         }
         ZKML_DCHECK((lk_s[l][n - 1] + lk_h[l][n - 1]).IsZero());
-        h_comms[l] = pcs.CommitLagrange(lk_h[l]);
-        s_comms[l] = pcs.CommitLagrange(lk_s[l]);
       });
     }
   }
@@ -279,7 +273,6 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     }
   }
   std::vector<std::vector<Fr>> z_values(num_chunks);
-  std::vector<PcsCommitment> z_comms(num_chunks);
   {
     Fr acc = Fr::One();
     for (size_t c = 0; c < num_chunks; ++c) {
@@ -304,19 +297,21 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     ZKML_CHECK_MSG(num_chunks == 0 || acc == Fr::One(),
                    "copy constraints inconsistent with witness");
   }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    z_comms[c] = pcs.CommitLagrange(z_values[c]);
-  }
 
+  // Round 3 commits h_0, s_0, h_1, s_1, ..., then z_0, z_1, ... as one batch.
+  std::vector<const std::vector<Fr>*> round3;
   for (size_t l = 0; l < num_lookups; ++l) {
-    transcript.AppendPoint("lookup-h", h_comms[l].point);
-    ProofAppendPoint(&proof, h_comms[l].point);
-    transcript.AppendPoint("lookup-s", s_comms[l].point);
-    ProofAppendPoint(&proof, s_comms[l].point);
+    round3.push_back(&lk_h[l]);
+    round3.push_back(&lk_s[l]);
   }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    transcript.AppendPoint("perm-z", z_comms[c].point);
-    ProofAppendPoint(&proof, z_comms[c].point);
+  for (const std::vector<Fr>& z : z_values) {
+    round3.push_back(&z);
+  }
+  const std::vector<PcsCommitment> round3_comms = pcs.CommitLagrange(round3);
+  for (size_t i = 0; i < round3_comms.size(); ++i) {
+    const char* label = i >= 2 * num_lookups ? "perm-z" : (i % 2 == 0 ? "lookup-h" : "lookup-s");
+    transcript.AppendPoint(label, round3_comms[i].point);
+    ProofAppendPoint(&proof, round3_comms[i].point);
   }
   ZKML_RETURN_IF_ERROR(stages.Begin("quotient"));
 
@@ -475,13 +470,13 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
         .Set(static_cast<double>(obs::ReadRssHighWaterKb() - rss_start_kb));
   }
   std::vector<std::vector<Fr>> q_chunks(ext_factor);
-  std::vector<PcsCommitment> q_comms(ext_factor);
   for (size_t i = 0; i < ext_factor; ++i) {
     q_chunks[i] =
         std::vector<Fr>(quotient_coeffs.begin() + i * n, quotient_coeffs.begin() + (i + 1) * n);
-    q_comms[i] = pcs.Commit(q_chunks[i]);
-    transcript.AppendPoint("quotient", q_comms[i].point);
-    ProofAppendPoint(&proof, q_comms[i].point);
+  }
+  for (const PcsCommitment& q : pcs.Commit(PolyPointers(q_chunks))) {
+    transcript.AppendPoint("quotient", q.point);
+    ProofAppendPoint(&proof, q.point);
   }
   ZKML_RETURN_IF_ERROR(stages.Begin("evals"));
 

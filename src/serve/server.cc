@@ -768,16 +768,6 @@ void ZkmlServer::WorkerLoop(int worker_index) {
     }
 
     ExecuteGroup(group);
-
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      for (const auto& job : group) {
-        running_.erase(std::remove(running_.begin(), running_.end(), job), running_.end());
-      }
-    }
-    for (const auto& job : group) {
-      job->done_promise.set_value();
-    }
   }
 }
 
@@ -841,7 +831,50 @@ std::optional<Plan> ResolvePlan(const Model& model, const ProveRequest& req, siz
 
 void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
   const auto started = SteadyClock::now();
-  // Members still headed for the proof; one that fails is answered alone.
+  // Every Nth admitted job is sampled: one Tracer records the group's shared
+  // work, and each sampled member exports the spans complete when it is
+  // answered.
+  const auto sampled = [&](const Job& job) {
+    return options_.trace_sample_every > 0 && (job.id - 1) % options_.trace_sample_every == 0;
+  };
+  std::optional<obs::Tracer> tracer;
+  if (std::ranges::any_of(group, [&](const auto& job) { return sampled(*job); })) tracer.emplace();
+  // Finishes one member: its trace doc and event, then its handler's reply.
+  const auto answer = [&](Job& job) {
+    if (tracer && sampled(job)) {
+      obs::Json doc = tracer->ToReportJson();
+      doc.Set("job_id", job.id);
+      doc.Set("request_id", job.request_id);
+      doc.Set("outcome", job.ok ? "ok" : WireErrorCodeName(job.error.code));
+      if (!job.ok) doc.Set("error_stage", WireStageName(job.error.stage));
+      trace_ring_.Add(std::move(doc));
+    }
+    if (event_log_ != nullptr) {
+      obs::Json fields = obs::Json::Object();
+      fields.Set("job_id", job.id);
+      fields.Set("request_id", job.request_id);
+      if (group.size() > 1) fields.Set("coalesced", static_cast<uint64_t>(group.size()));
+      fields.Set("elapsed_s", SecondsBetween(job.enqueued, SteadyClock::now()));
+      const char* event = "job_completed";
+      if (!job.ok) {
+        const WireErrorCode code = job.error.code;
+        fields.Set("error", WireErrorCodeName(code));
+        fields.Set("stage", WireStageName(job.error.stage));
+        event = code == WireErrorCode::kDeadlineExceeded ? "job_deadline_exceeded"
+                : code != WireErrorCode::kCancelled      ? "job_failed"
+                : job.reaped.load(std::memory_order_relaxed) ? "job_reaped"
+                                                             : "job_cancelled";
+      }
+      LogEvent(event, std::move(fields));
+    }
+    {
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      std::erase_if(running_, [&](const auto& j) { return j.get() == &job; });
+    }
+    job.done_promise.set_value();
+  };
+  // Members still headed for the proof. One that fails before it is answered
+  // at once; the rest are answered together when the group ends.
   std::vector<std::shared_ptr<Job>> live;
   const auto set_stage = [&](WireStage stage) {
     for (const auto& job : live) {
@@ -876,6 +909,7 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
         live.push_back(job);
       } else {
         fail_status(*job, s, WireStage::kAdmission);
+        answer(*job);
       }
     }
     if (live.empty()) return;
@@ -904,6 +938,7 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
                     "input has " + std::to_string(have) + " elements, model wants " +
                         std::to_string(n * per) +
                         (n > 1 ? " (" + std::to_string(per) + " per inference)" : "")});
+        answer(*job);
       } else {
         fed.push_back(job);
         batch += n;
@@ -1084,46 +1119,12 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
     }
   };
 
-  // Every Nth admitted job is sampled: one Tracer records the group's shared
-  // work, and its scope closes before export so all spans are complete.
-  const auto sampled = [&](const Job& job) {
-    return options_.trace_sample_every > 0 && (job.id - 1) % options_.trace_sample_every == 0;
-  };
-  std::optional<obs::Tracer> tracer;
-  if (std::ranges::any_of(group, [&](const auto& job) { return sampled(*job); })) tracer.emplace();
   {
     std::optional<obs::TracerScope> scope;
     if (tracer) scope.emplace(&*tracer);
     run();
   }
-
-  for (const auto& job : group) {
-    if (tracer && sampled(*job)) {
-      obs::Json doc = tracer->ToReportJson();
-      doc.Set("job_id", job->id);
-      doc.Set("request_id", job->request_id);
-      doc.Set("outcome", job->ok ? "ok" : WireErrorCodeName(job->error.code));
-      if (!job->ok) doc.Set("error_stage", WireStageName(job->error.stage));
-      trace_ring_.Add(std::move(doc));
-    }
-    if (event_log_ == nullptr) continue;
-    obs::Json fields = obs::Json::Object();
-    fields.Set("job_id", job->id);
-    fields.Set("request_id", job->request_id);
-    if (group.size() > 1) fields.Set("coalesced", static_cast<uint64_t>(group.size()));
-    fields.Set("elapsed_s", SecondsBetween(job->enqueued, SteadyClock::now()));
-    const char* event = "job_completed";
-    if (!job->ok) {
-      const WireErrorCode code = job->error.code;
-      fields.Set("error", WireErrorCodeName(code));
-      fields.Set("stage", WireStageName(job->error.stage));
-      event = code == WireErrorCode::kDeadlineExceeded ? "job_deadline_exceeded"
-              : code != WireErrorCode::kCancelled      ? "job_failed"
-              : job->reaped.load(std::memory_order_relaxed) ? "job_reaped"
-                                                            : "job_cancelled";
-    }
-    LogEvent(event, std::move(fields));
-  }
+  for (const auto& job : live) answer(*job);
 }
 
 void ZkmlServer::WatchdogLoop() {

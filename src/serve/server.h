@@ -159,8 +159,10 @@ class ZkmlServer {
 
   // The one executor (the worker body): proves a group of jobs — one job,
   // or the jobs coalescing claimed with it — through a single resolved plan
-  // {shards, batch}, and fills every member's response or error. The caller
-  // still owns promise delivery.
+  // {shards, batch}, and answers every member: fills its response or error,
+  // drops it from running_ and fulfils its promise. A member that fails
+  // before the shared proof (expired in the queue, malformed input) is
+  // answered at once, not when the group finishes.
   void ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group);
 
   // Queue admission; null with *err filled (OVERLOADED / SHUTTING_DOWN) when

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/base/thread_pool.h"
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
@@ -103,6 +107,49 @@ TEST(E2eTest, ExplicitLayoutRoundTrip) {
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 31), model.quant);
   const ZkmlProof proof = Prove(compiled, input);
   EXPECT_TRUE(Verify(compiled, proof));
+}
+
+// The prover commits each round's vectors as one batch; that must not change
+// how many MSMs a round runs (one per committed vector) on mnist's 26 x 2^9
+// layout: 26 advice, 8 lookup m, 8 h + 8 s + 14 permutation z, 4 quotient
+// chunks, and one opening witness per rotation.
+TEST(E2eTest, MnistCommitRoundsKeepTheirMsmCounts) {
+  const Model model = MakeMnistCnn();
+  // The optimizer's choice for mnist: bit-decomposition ReLU, 26 columns.
+  GadgetSet gadgets = GadgetSetForModel(model);
+  gadgets.relu_lookup = false;
+  gadgets.relu_bits = true;
+  const PhysicalLayout layout = SimulateLayout(model, gadgets, 26);
+  ASSERT_EQ(layout.k, 9);
+  ZkmlOptions options;
+  options.backend = PcsKind::kKzg;
+  const CompiledModel compiled = CompileModelWithLayout(model, layout, options);
+  const ZkmlProof proof = Prove(compiled, QuantizeTensor(SyntheticInput(model, 5), model.quant));
+  ASSERT_TRUE(Verify(compiled, proof));
+
+  const std::vector<std::pair<std::string, uint64_t>> want = {
+      {"advice-commit", 26}, {"lookup-mult", 8}, {"lookup-perm-commit", 30},
+      {"quotient", 4},       {"evals", 0},       {"openings", 2}};
+  const std::vector<ProverStageMetrics>& stages = proof.prover_metrics.stages;
+  ASSERT_EQ(stages.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(stages[i].name, want[i].first);
+    EXPECT_EQ(stages[i].kernels.msm_calls, want[i].second) << stages[i].name;
+  }
+}
+
+// Keygen commits the fixed and sigma columns as batches whose Lagrange basis
+// is fetched before the MSMs fan out: a cold setup builds it exactly once,
+// however many pool threads would otherwise race to build it.
+TEST(E2eTest, KeygenBuildsTheLagrangeBasisOnce) {
+  if (ThreadPool::Global().num_threads() < 2) {
+    GTEST_SKIP() << "needs a pool of two or more threads";
+  }
+  const obs::Counter& builds =
+      obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds");
+  const uint64_t before = builds.Value();
+  const CompiledModel compiled = CompileModel(MakeMnistCnn(), FastOptions(PcsKind::kKzg));
+  EXPECT_EQ(builds.Value() - before, 1u);
 }
 
 }  // namespace

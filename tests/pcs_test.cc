@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/base/rng.h"
 #include "src/pcs/ipa.h"
@@ -22,11 +24,11 @@ class PcsTest : public ::testing::TestWithParam<PcsKind> {
  protected:
   static constexpr size_t kMaxLen = 64;
 
-  std::unique_ptr<Pcs> MakePcs() {
+  std::unique_ptr<Pcs> MakePcs(size_t max_len = kMaxLen) {
     if (GetParam() == PcsKind::kKzg) {
-      return std::make_unique<KzgPcs>(std::make_shared<KzgSetup>(KzgSetup::Create(kMaxLen, 7)));
+      return std::make_unique<KzgPcs>(std::make_shared<KzgSetup>(KzgSetup::Create(max_len, 7)));
     }
-    return std::make_unique<IpaPcs>(std::make_shared<IpaSetup>(IpaSetup::Create(kMaxLen, 7)));
+    return std::make_unique<IpaPcs>(std::make_shared<IpaSetup>(IpaSetup::Create(max_len, 7)));
   }
 };
 
@@ -37,6 +39,34 @@ TEST_P(PcsTest, CommitIsDeterministicAndBinding) {
   auto b = RandomCoeffs(rng, 32);
   EXPECT_EQ(pcs->Commit(a), pcs->Commit(a));
   EXPECT_FALSE(pcs->Commit(a) == pcs->Commit(b));
+}
+
+// A batched commit fans its MSMs out over the pool; every commitment must
+// still equal, byte for byte, the one a lone call (and a bare Msm) produces.
+// 2^9 stays below the MSM's own parallel threshold, 2^11 nests a parallel
+// MSM inside each batch task.
+TEST_P(PcsTest, BatchedCommitsEqualOneAtATime) {
+  auto pcs = MakePcs(size_t{1} << 11);
+  Rng rng(12);
+  for (const auto& [count, log_n] : {std::pair<size_t, int>{0, 9}, {1, 9}, {30, 9}, {3, 11}}) {
+    SCOPED_TRACE(std::to_string(count) + " x 2^" + std::to_string(log_n));
+    std::vector<std::vector<Fr>> polys(count);
+    for (std::vector<Fr>& p : polys) {
+      p = RandomCoeffs(rng, size_t{1} << log_n);
+    }
+    const std::vector<PcsCommitment> batched = pcs->Commit(PolyPointers(polys));
+    const std::vector<PcsCommitment> lagrange = pcs->CommitLagrange(PolyPointers(polys));
+    ASSERT_EQ(batched.size(), count);
+    ASSERT_EQ(lagrange.size(), count);
+    for (size_t i = 0; i < count; ++i) {
+      const G1Affine msm = Msm(pcs->bases().data(), polys[i].data(), polys[i].size()).ToAffine();
+      EXPECT_EQ(batched[i].point.Serialize(), msm.Serialize()) << "commit " << i;
+      EXPECT_EQ(batched[i].point.Serialize(), pcs->Commit(polys[i]).point.Serialize())
+          << "commit " << i;
+      EXPECT_EQ(lagrange[i].point.Serialize(), pcs->CommitLagrange(polys[i]).point.Serialize())
+          << "lagrange commit " << i;
+    }
+  }
 }
 
 TEST_P(PcsTest, SingleOpenVerifies) {

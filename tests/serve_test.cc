@@ -605,7 +605,13 @@ TEST(ServeTest, CoalescedMemberPastItsDeadlineFailsAloneWhileTheGroupProves) {
   ASSERT_TRUE(server.Start().ok());
 
   // Occupy the single worker with a cold compile while three compatible jobs
-  // queue behind it; the middle one's 100ms budget runs out in the queue.
+  // queue behind it. Job 1 queues first, so it leads the group the worker
+  // claims next, and its 100ms budget runs out in the queue.
+  const auto wait_until = [](const auto& done) {
+    for (int ms = 0; ms < 10000 && !done(); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   StatusOr<ZkmlClient::ProveOutcome> head_result = InternalError("unset");
   std::thread head([&] {
     ZkmlClient c = MustConnect(server);
@@ -614,31 +620,40 @@ TEST(ServeTest, CoalescedMemberPastItsDeadlineFailsAloneWhileTheGroupProves) {
     req.seed = 100;
     head_result = c.Prove(req, 1, kProveWaitMs);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  wait_until([&] { return server.stats().running_jobs == 1; });
 
   std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(3, InternalError("unset"));
+  std::vector<std::chrono::steady_clock::time_point> replied(3);
   std::vector<std::thread> clients;
-  for (int i = 0; i < 3; ++i) {
+  for (const size_t i : {size_t{1}, size_t{0}, size_t{2}}) {
     clients.emplace_back([&, i] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20 * i));  // arrive in order
       ZkmlClient c = MustConnect(server);
       ProveRequest req;
       req.model_text = MnistText();
-      req.seed = 101 + static_cast<uint64_t>(i);
+      req.seed = 101 + i;
       if (i == 1) req.deadline_ms = 100;
-      results[static_cast<size_t>(i)] = c.Prove(req, static_cast<uint64_t>(i) + 10, kProveWaitMs);
+      results[i] = c.Prove(req, i + 10, kProveWaitMs);
+      replied[i] = std::chrono::steady_clock::now();
     });
+    // Queue in this order.
+    wait_until([&] { return server.stats().jobs_accepted == clients.size() + 1; });
   }
   head.join();
   for (auto& t : clients) t.join();
   ASSERT_TRUE(head_result.ok() && head_result->ok);
 
-  // The expired job is answered alone, at admission, instead of riding the
+  // The expired member is answered alone, at admission, instead of riding the
   // group's proof on another member's budget.
   ASSERT_TRUE(results[1].ok()) << results[1].status().ToString();
   ASSERT_FALSE(results[1]->ok);
   EXPECT_EQ(results[1]->error.code, WireErrorCode::kDeadlineExceeded);
   EXPECT_EQ(results[1]->error.stage, WireStage::kAdmission);
+  // ...and answered at once: its reply lands well before the group's, which
+  // waits out the group's whole compile and proof (prove_micros).
+  ASSERT_TRUE(results[0].ok() && results[0]->ok);
+  const auto group_work = std::chrono::microseconds(results[0]->response.prove_micros);
+  EXPECT_LT(replied[1] + group_work / 2, replied[0]);
+  EXPECT_LT(replied[1] + group_work / 2, replied[2]);
 
   // The rest of the group still proves, as one batch of two.
   for (size_t i : {size_t{0}, size_t{2}}) {
