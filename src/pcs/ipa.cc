@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/check.h"
+#include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/plonk/proof_io.h"
@@ -74,8 +75,17 @@ void IpaPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const F
       cross_l += a[i] * b[half + i];
       cross_r += a[half + i] * b[i];
     }
-    const G1Affine l = (Msm(g.data() + half, a.data(), half) + u.ScalarMul(cross_l)).ToAffine();
-    const G1Affine r = (Msm(g.data(), a.data() + half, half) + u.ScalarMul(cross_r)).ToAffine();
+    // L and R are independent MSMs over disjoint halves: run them together.
+    G1 lr[2];
+    {
+      TaskGroup group;
+      group.Submit([&] { lr[0] = Msm(g.data() + half, a.data(), half) + u.ScalarMul(cross_l); });
+      group.Submit([&] { lr[1] = Msm(g.data(), a.data() + half, half) + u.ScalarMul(cross_r); });
+    }
+    G1Affine lr_affine[2];
+    G1::BatchToAffine(lr, 2, lr_affine);
+    const G1Affine& l = lr_affine[0];
+    const G1Affine& r = lr_affine[1];
     transcript->AppendPoint("ipa-l", l);
     transcript->AppendPoint("ipa-r", r);
     ProofAppendPoint(proof_out, l);
@@ -90,8 +100,26 @@ void IpaPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const F
     for (size_t i = 0; i < half; ++i) {
       a[i] = a[i] * ch + a[half + i] * ch_inv;
       b[i] = b[i] * ch_inv + b[half + i] * ch;
-      g[i] = (G1::FromAffine(g[i]).ScalarMul(ch_inv) + G1::FromAffine(g[half + i]).ScalarMul(ch))
-                 .ToAffine();
+    }
+    // Each folded generator costs two scalar multiplications. A round folds
+    // at most a few hundred of them, below ParallelFor's serial cutoff, so
+    // the round is split into one explicit chunk per pool thread; the results
+    // then share one field inversion. The last round's g' is never read.
+    if (half > 1) {
+      std::vector<G1> folded(half);
+      const size_t chunks = std::min(half, std::max<size_t>(1, ThreadPool::Global().num_threads()));
+      {
+        TaskGroup group;
+        for (size_t t = 0; t < chunks; ++t) {
+          group.Submit([&, t] {
+            for (size_t i = half * t / chunks; i < half * (t + 1) / chunks; ++i) {
+              folded[i] = G1::FromAffine(g[i]).ScalarMul(ch_inv) +
+                          G1::FromAffine(g[half + i]).ScalarMul(ch);
+            }
+          });
+        }
+      }
+      G1::BatchToAffine(folded.data(), half, g.data());
     }
     len = half;
   }
@@ -99,20 +127,16 @@ void IpaPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const F
   ProofAppendFr(proof_out, a[0]);
 }
 
-Status IpaPcs::VerifyBatch(const std::vector<PcsCommitment>& commitments,
-                           const std::vector<Fr>& evals, const Fr& point, Transcript* transcript,
-                           const std::vector<uint8_t>& proof, size_t* offset) const {
-  obs::Span span("ipa-verify-batch");
-  static obs::Counter& verifies = obs::MetricsRegistry::Global().counter("pcs.ipa.verify_batches");
-  verifies.Increment();
-  if (commitments.size() != evals.size()) {
-    return InvalidArgumentError("ipa: " + std::to_string(commitments.size()) +
-                                " commitments but " + std::to_string(evals.size()) +
-                                " claimed evaluations");
-  }
-  if (commitments.empty()) {
-    return InvalidArgumentError("ipa: empty opening batch");
-  }
+namespace {
+
+// Checks one opening batch. With the round challenges ch_j, the folded
+// generator weights s and the final scalar a, the prover's argument holds iff
+//   sum_i v^i·C_i + sum_j (ch_j^2·L_j + ch_j^-2·R_j) + (y* - a·b)·U
+//     - sum_i a·s_i·G_i == 0,
+// checked as ONE MSM over C ∪ L ∪ R ∪ {U} ∪ G.
+Status VerifyIpaBatch(const IpaSetup& setup, const PcsOpeningBatch& batch, Transcript* transcript,
+                      const std::vector<uint8_t>& proof, size_t* offset) {
+  ZKML_RETURN_IF_ERROR(CheckOpeningBatchShape(batch, "ipa"));
   const Fr v = transcript->ChallengeFr("ipa-batch-v");
   uint32_t n32 = 0;
   ZKML_RETURN_IF_ERROR(ProofReadU32(proof, offset, &n32, "ipa vector length"));
@@ -121,28 +145,32 @@ Status IpaPcs::VerifyBatch(const std::vector<PcsCommitment>& commitments,
     return MalformedProofError("ipa: vector length " + std::to_string(n) +
                                " is not a nonzero power of two");
   }
-  if (n > setup_->g.size()) {
+  if (n > setup.g.size()) {
     return MalformedProofError("ipa: vector length " + std::to_string(n) +
-                               " exceeds setup size " + std::to_string(setup_->g.size()));
+                               " exceeds setup size " + std::to_string(setup.g.size()));
   }
   int rounds = 0;
   for (size_t t = n; t > 1; t >>= 1) {
     ++rounds;
   }
 
-  // Fold the batch claim: P = sum v^i C_i + y*·U with y* = sum v^i y_i.
-  G1 p_acc;
+  const size_t num_c = batch.commitments.size();
+  std::vector<G1Affine> bases;
+  std::vector<Fr> scalars;
+  bases.reserve(num_c + 2 * rounds + 1 + n);
+  scalars.reserve(bases.capacity());
+  // The batch claim: sum v^i C_i with y* = sum v^i y_i.
   Fr y_star = Fr::Zero();
   Fr vi = Fr::One();
-  for (size_t i = 0; i < commitments.size(); ++i) {
-    p_acc += G1::FromAffine(commitments[i].point).ScalarMul(vi);
-    y_star += evals[i] * vi;
+  for (size_t i = 0; i < num_c; ++i) {
+    bases.push_back(batch.commitments[i].point);
+    scalars.push_back(vi);
+    y_star += batch.evals[i] * vi;
     vi *= v;
   }
-  const G1 u = G1::FromAffine(setup_->u);
-  p_acc += u.ScalarMul(y_star);
 
   std::vector<Fr> challenges(rounds);
+  std::vector<Fr> challenge_invs(rounds);
   for (int j = 0; j < rounds; ++j) {
     G1Affine l, r;
     const std::string round = "ipa round " + std::to_string(j);
@@ -150,46 +178,64 @@ Status IpaPcs::VerifyBatch(const std::vector<PcsCommitment>& commitments,
     ZKML_RETURN_IF_ERROR(ProofReadPoint(proof, offset, &r, (round + " R point").c_str()));
     transcript->AppendPoint("ipa-l", l);
     transcript->AppendPoint("ipa-r", r);
-    const Fr ch = transcript->ChallengeFr("ipa-u");
-    challenges[j] = ch;
-    const Fr ch_inv = ch.Inverse();
-    p_acc += G1::FromAffine(l).ScalarMul(ch.Square());
-    p_acc += G1::FromAffine(r).ScalarMul(ch_inv.Square());
+    challenges[j] = transcript->ChallengeFr("ipa-u");
+    challenge_invs[j] = challenges[j].Inverse();
+    bases.push_back(l);
+    scalars.push_back(challenges[j].Square());
+    bases.push_back(r);
+    scalars.push_back(challenge_invs[j].Square());
   }
   Fr a_final;
   ZKML_RETURN_IF_ERROR(ProofReadFr(proof, offset, &a_final, "ipa final scalar"));
   transcript->AppendFr("ipa-a", a_final);
 
-  // s_i = prod over rounds of ch^{+1} if the round's bit of i is set else
-  // ch^{-1}; G_final = <s, G>, b_final = <s^{-1}, b>.
-  std::vector<Fr> s(n, Fr::One());
+  // s_i = prod over rounds of ch_j if bit (rounds-1-j) of i is set, else
+  // ch_j^-1: round j folds blocks of size n >> j, whose upper half takes the
+  // ch factor. Built by doubling, one round (one lower index bit) at a time.
+  std::vector<Fr> s(n);
+  s[0] = Fr::One();
   for (int j = 0; j < rounds; ++j) {
-    const Fr ch = challenges[j];
-    const Fr ch_inv = ch.Inverse();
-    // Round j folds blocks of size n >> j; indices in the upper half of a
-    // block take the ch factor, the lower half ch^{-1}.
-    const size_t block = n >> j;
-    for (size_t i = 0; i < n; ++i) {
-      const bool hi = (i % block) >= block / 2;
-      s[i] *= hi ? ch : ch_inv;
+    for (size_t i = size_t{1} << j; i-- > 0;) {
+      s[2 * i + 1] = s[i] * challenges[j];
+      s[2 * i] = s[i] * challenge_invs[j];
     }
   }
-  const G1 g_final = Msm(setup_->g.data(), s.data(), n);
-
   // b folds with the same orientation as G (see OpenBatch), so b_final uses
   // the same s vector: b_final = sum_i s_i * z^i.
   Fr b_final = Fr::Zero();
   Fr zi = Fr::One();
   for (size_t i = 0; i < n; ++i) {
     b_final += s[i] * zi;
-    zi *= point;
+    zi *= batch.point;
   }
 
-  const G1 lhs = g_final.ScalarMul(a_final) + u.ScalarMul(a_final * b_final);
-  if (!(p_acc == lhs)) {
+  bases.push_back(setup.u);
+  scalars.push_back(y_star - a_final * b_final);
+  const Fr neg_a = a_final.Neg();
+  for (size_t i = 0; i < n; ++i) {
+    bases.push_back(setup.g[i]);
+    scalars.push_back(neg_a * s[i]);
+  }
+  if (!Msm(bases, scalars).IsIdentity()) {
     return VerifyFailedError("ipa: folded opening equation does not hold after " +
                              std::to_string(rounds) + " rounds (batch of " +
-                             std::to_string(commitments.size()) + " commitments)");
+                             std::to_string(num_c) + " commitments)");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status IpaPcs::VerifyOpenings(const std::vector<PcsOpeningBatch>& batches,
+                              Transcript* transcript, const std::vector<uint8_t>& proof,
+                              size_t* offset) const {
+  obs::Span span("ipa-verify-openings");
+  static obs::Counter& verifies = obs::MetricsRegistry::Global().counter("pcs.ipa.verify_batches");
+  for (const PcsOpeningBatch& batch : batches) {
+    verifies.Increment();
+    if (Status s = VerifyIpaBatch(*setup_, batch, transcript, proof, offset); !s.ok()) {
+      return Status(s.code(), batch.what + ": " + s.message());
+    }
   }
   return Status::Ok();
 }

@@ -32,9 +32,8 @@ class IpaPcs : public Pcs {
 
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;
-  Status VerifyBatch(const std::vector<PcsCommitment>& commitments, const std::vector<Fr>& evals,
-                     const Fr& point, Transcript* transcript, const std::vector<uint8_t>& proof,
-                     size_t* offset) const override;
+  Status VerifyOpenings(const std::vector<PcsOpeningBatch>& batches, Transcript* transcript,
+                        const std::vector<uint8_t>& proof, size_t* offset) const override;
 
  private:
   std::shared_ptr<const IpaSetup> setup_;

@@ -1,5 +1,9 @@
 #include "src/pcs/kzg.h"
 
+#include <array>
+#include <cstring>
+#include <unordered_map>
+
 #include "src/base/check.h"
 #include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
@@ -58,98 +62,144 @@ void KzgPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const F
   proof_out->insert(proof_out->end(), bytes.begin(), bytes.end());
 }
 
-Status KzgPcs::VerifyBatch(const std::vector<PcsCommitment>& commitments,
-                           const std::vector<Fr>& evals, const Fr& point, Transcript* transcript,
-                           const std::vector<uint8_t>& proof, size_t* offset) const {
-  obs::Span span("kzg-verify-batch");
-  static obs::Counter& verifies = obs::MetricsRegistry::Global().counter("pcs.kzg.verify_batches");
-  verifies.Increment();
-  if (commitments.size() != evals.size()) {
-    return InvalidArgumentError("kzg: " + std::to_string(commitments.size()) +
-                                " commitments but " + std::to_string(evals.size()) +
-                                " claimed evaluations");
-  }
-  if (commitments.empty()) {
-    return InvalidArgumentError("kzg: empty opening batch");
-  }
-  if (setup_->powers.empty()) {
-    return OutOfRangeError("kzg: empty setup");
-  }
-  const Fr v = transcript->ChallengeFr("kzg-batch-v");
-  G1Affine w;
-  ZKML_RETURN_IF_ERROR(ProofReadPoint(proof, offset, &w, "kzg witness point"));
-  transcript->AppendPoint("kzg-w", w);
+namespace {
 
-  // C* = sum v^i C_i, y* = sum v^i y_i.
-  G1 c_star;
-  Fr y_star = Fr::Zero();
+// Reads one batch's witness point in transcript order and returns the batch
+// as a claim: the commitments with their v^i scalars, y* = sum v^i y_i, W, z.
+Status ReadClaim(const PcsOpeningBatch& batch, Transcript* transcript,
+                 const std::vector<uint8_t>& proof, size_t* offset, KzgOpeningClaim* claim) {
+  ZKML_RETURN_IF_ERROR(CheckOpeningBatchShape(batch, "kzg"));
+  const Fr v = transcript->ChallengeFr("kzg-batch-v");
+  ZKML_RETURN_IF_ERROR(ProofReadPoint(proof, offset, &claim->w, "kzg witness point"));
+  transcript->AppendPoint("kzg-w", claim->w);
+  claim->point = batch.point;
+  claim->y_star = Fr::Zero();
   Fr vi = Fr::One();
-  for (size_t i = 0; i < commitments.size(); ++i) {
-    c_star += G1::FromAffine(commitments[i].point).ScalarMul(vi);
-    y_star += evals[i] * vi;
+  for (size_t i = 0; i < batch.commitments.size(); ++i) {
+    claim->commitments.push_back(batch.commitments[i].point);
+    claim->scalars.push_back(vi);
+    claim->y_star += batch.evals[i] * vi;
     vi *= v;
-  }
-  // Pairing check simulated in the exponent (see header comment):
-  //   C* - y*·G == (tau - z)·W.
-  const G1 lhs = c_star - G1::Generator().ScalarMul(y_star);
-  if (defer_ != nullptr) {
-    // Deferred verification: record the claim; KzgAccumulator::Check folds
-    // every proof's claim into one RLC'd pairing check.
-    defer_->Add(KzgDeferredOpening{lhs, w, point, 0});
-    return Status::Ok();
-  }
-  static obs::Counter& pairings =
-      obs::MetricsRegistry::Global().counter("pcs.kzg.pairing_checks");
-  pairings.Increment();
-  const G1 rhs = G1::FromAffine(w).ScalarMul(setup_->tau - point);
-  if (!(lhs == rhs)) {
-    return VerifyFailedError("kzg: opening equation C* - y*G != (tau - z)W for batch of " +
-                             std::to_string(commitments.size()) + " commitments");
   }
   return Status::Ok();
 }
 
+// sum_j weights[j]·(C*_j - y*_j·G - (tau - z_j)·W_j) over `count` claims, as
+// one MSM over every distinct commitment, G and every W. A commitment that
+// several claims open — a column queried at two rotations, a verifying-key
+// column shared by many proofs — enters the MSM once with its scalars summed.
+G1 WeightedResidual(const KzgOpeningClaim* claims, const Fr* weights, size_t count,
+                    const Fr& tau) {
+  using PointKey = std::array<uint8_t, G1Affine::kCompressedSize>;
+  struct PointKeyHash {
+    size_t operator()(const PointKey& k) const {
+      uint64_t h = 0;
+      std::memcpy(&h, k.data() + 1, sizeof(h));  // low bytes of x
+      return static_cast<size_t>(h);
+    }
+  };
+  std::unordered_map<PointKey, size_t, PointKeyHash> slot;
+  std::vector<G1Affine> bases;
+  std::vector<Fr> scalars;
+  const auto add = [&](const G1Affine& p, const Fr& scalar) {
+    const auto [it, inserted] = slot.try_emplace(p.Serialize(), bases.size());
+    if (inserted) {
+      bases.push_back(p);
+      scalars.push_back(scalar);
+    } else {
+      scalars[it->second] += scalar;
+    }
+  };
+  Fr y_acc = Fr::Zero();
+  for (size_t j = 0; j < count; ++j) {
+    const KzgOpeningClaim& c = claims[j];
+    for (size_t i = 0; i < c.commitments.size(); ++i) {
+      add(c.commitments[i], weights[j] * c.scalars[i]);
+    }
+    add(c.w, weights[j] * (c.point - tau));
+    y_acc += weights[j] * c.y_star;
+  }
+  add(G1Affine::Generator(), y_acc.Neg());
+  return Msm(bases, scalars);
+}
+
+}  // namespace
+
+Status KzgPcs::VerifyOpenings(const std::vector<PcsOpeningBatch>& batches,
+                              Transcript* transcript, const std::vector<uint8_t>& proof,
+                              size_t* offset) const {
+  obs::Span span("kzg-verify-openings");
+  static obs::Counter& verifies = obs::MetricsRegistry::Global().counter("pcs.kzg.verify_batches");
+  if (setup_->powers.empty()) {
+    return OutOfRangeError("kzg: empty setup");
+  }
+  KzgAccumulator local;
+  KzgAccumulator& claims = defer_ != nullptr ? *defer_ : local;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    verifies.Increment();
+    KzgOpeningClaim claim;
+    if (Status s = ReadClaim(batches[b], transcript, proof, offset, &claim); !s.ok()) {
+      return Status(s.code(), batches[b].what + ": " + s.message());
+    }
+    // A local accumulator tags claims by batch so a rejection names the
+    // batch; a deferred one keeps the caller's tag (its proof index).
+    if (defer_ == nullptr) {
+      local.SetTag(b);
+    }
+    claims.Add(std::move(claim));
+  }
+  if (defer_ != nullptr) {
+    return Status::Ok();
+  }
+  std::vector<size_t> blamed;
+  const Status status = local.Check(*setup_, &blamed);
+  if (status.ok() || blamed.empty()) {
+    return status;
+  }
+  const PcsOpeningBatch& bad = batches[blamed.front()];
+  return VerifyFailedError(bad.what + ": kzg: opening equation C* - y*G != (tau - z)W for batch of " +
+                           std::to_string(bad.commitments.size()) + " commitments");
+}
+
 Status KzgAccumulator::Check(const KzgSetup& setup, std::vector<size_t>* blamed_tags) const {
   obs::Span span("kzg-aggregate-check");
-  static obs::Counter& checks =
-      obs::MetricsRegistry::Global().counter("pcs.kzg.aggregate_checks");
   static obs::Counter& pairings =
       obs::MetricsRegistry::Global().counter("pcs.kzg.pairing_checks");
-  checks.Increment();
-  if (entries_.empty()) {
-    return InvalidArgumentError("kzg aggregate: no deferred openings to check");
+  if (claims_.empty()) {
+    return InvalidArgumentError("kzg aggregate: no opening claims to check");
   }
-  // The RLC challenge is bound to every claim being combined, so an attacker
+  // The RLC challenge is bound to every term being combined, so an attacker
   // cannot craft two bad claims that cancel.
   Transcript transcript("zkml-kzg-aggregate");
-  for (const KzgDeferredOpening& e : entries_) {
-    transcript.AppendPoint("agg-lhs", e.lhs.ToAffine());
-    transcript.AppendPoint("agg-w", e.w);
-    transcript.AppendFr("agg-z", e.point);
+  for (const KzgOpeningClaim& c : claims_) {
+    for (size_t i = 0; i < c.commitments.size(); ++i) {
+      transcript.AppendPoint("agg-c", c.commitments[i]);
+      transcript.AppendFr("agg-v", c.scalars[i]);
+    }
+    transcript.AppendFr("agg-y", c.y_star);
+    transcript.AppendPoint("agg-w", c.w);
+    transcript.AppendFr("agg-z", c.point);
   }
   const Fr r = transcript.ChallengeFr("kzg-aggregate-r");
-  // sum r^j lhs_j == sum r^j (tau - z_j) W_j — the exponent form of the single
-  // batched pairing e(sum r^j (C_j - y_j·G + z_j·W_j), H) = e(sum r^j W_j, tau·H).
-  G1 lhs_acc, rhs_acc;
-  Fr rj = Fr::One();
-  for (const KzgDeferredOpening& e : entries_) {
-    lhs_acc += e.lhs.ScalarMul(rj);
-    rhs_acc += G1::FromAffine(e.w).ScalarMul(rj * (setup.tau - e.point));
-    rj *= r;
+  std::vector<Fr> rj(claims_.size());
+  rj[0] = Fr::One();
+  for (size_t j = 1; j < rj.size(); ++j) {
+    rj[j] = rj[j - 1] * r;
   }
   pairings.Increment();
-  if (lhs_acc == rhs_acc) {
+  if (WeightedResidual(claims_.data(), rj.data(), claims_.size(), setup.tau).IsIdentity()) {
     return Status::Ok();
   }
   // Rejection path: re-check each claim on its own to name the proofs whose
   // openings are bad. These per-claim checks only run after the single
-  // aggregate pairing check has already failed.
+  // aggregate check has already failed.
   std::vector<size_t> bad;
-  for (const KzgDeferredOpening& e : entries_) {
+  const Fr one = Fr::One();
+  for (const KzgOpeningClaim& c : claims_) {
     pairings.Increment();
-    if (!(e.lhs == G1::FromAffine(e.w).ScalarMul(setup.tau - e.point)) &&
-        (bad.empty() || bad.back() != e.tag)) {
-      bad.push_back(e.tag);
+    if (!WeightedResidual(&c, &one, 1, setup.tau).IsIdentity() &&
+        (bad.empty() || bad.back() != c.tag)) {
+      bad.push_back(c.tag);
     }
   }
   std::string who;
@@ -163,12 +213,12 @@ Status KzgAccumulator::Check(const KzgSetup& setup, std::vector<size_t>* blamed_
     // Every claim passes individually but the combination fails: impossible
     // for honestly accumulated claims, so report it as corruption.
     return VerifyFailedError("kzg aggregate: combined pairing check failed across " +
-                             std::to_string(entries_.size()) +
-                             " deferred openings (no individual claim blamed)");
+                             std::to_string(claims_.size()) +
+                             " opening claims (no individual claim blamed)");
   }
   return VerifyFailedError("kzg aggregate: combined pairing check failed across " +
-                           std::to_string(entries_.size()) +
-                           " deferred openings; blamed proof(s): " + who);
+                           std::to_string(claims_.size()) +
+                           " opening claims; blamed proof(s): " + who);
 }
 
 }  // namespace zkml

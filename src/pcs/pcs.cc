@@ -37,6 +37,19 @@ std::vector<PcsCommitment> MsmBatch(const std::vector<const G1Affine*>& bases,
 
 }  // namespace
 
+Status CheckOpeningBatchShape(const PcsOpeningBatch& batch, const char* backend) {
+  if (batch.commitments.size() != batch.evals.size()) {
+    return InvalidArgumentError(std::string(backend) + ": " +
+                                std::to_string(batch.commitments.size()) +
+                                " commitments but " + std::to_string(batch.evals.size()) +
+                                " claimed evaluations");
+  }
+  if (batch.commitments.empty()) {
+    return InvalidArgumentError(std::string(backend) + ": empty opening batch");
+  }
+  return Status::Ok();
+}
+
 std::vector<PcsCommitment> Pcs::Commit(const std::vector<const std::vector<Fr>*>& polys) const {
   CommitCounter(kind(), /*lagrange=*/false).Increment(polys.size());
   const std::vector<G1Affine>& monomial = bases();

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/base/status.h"
@@ -35,7 +36,23 @@ inline std::vector<const std::vector<Fr>*> PolyPointers(const std::vector<std::v
   return out;
 }
 
-// A batch of polynomials opened at one point. `polys` are coefficient vectors.
+// The verifier's view of one opening batch: polynomials committed as
+// `commitments` claimed to evaluate to `evals` at `point`. `what` names the
+// batch in error messages (e.g. "opening at rotation 1").
+struct PcsOpeningBatch {
+  std::vector<PcsCommitment> commitments;
+  std::vector<Fr> evals;
+  Fr point;
+  std::string what;
+};
+
+// The caller-contract check every backend runs on a batch before reading its
+// proof bytes: as many evaluations as commitments, and at least one.
+Status CheckOpeningBatchShape(const PcsOpeningBatch& batch, const char* backend);
+
+// A polynomial commitment backend. Provers open one batch of polynomials
+// (coefficient vectors) per evaluation point; verifiers check all of a
+// proof's batches in one call.
 class Pcs {
  public:
   virtual ~Pcs() = default;
@@ -73,14 +90,18 @@ class Pcs {
   virtual void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                          Transcript* transcript, std::vector<uint8_t>* proof_out) const = 0;
 
-  // Verifier side. Consumes bytes from proof[*offset...] and advances
-  // *offset. Proof bytes are adversarial: implementations must never abort on
-  // them. Returns kMalformedProof for structurally bad bytes (truncation,
-  // invalid encodings, unsupported sizes), kVerifyFailed when the opening
-  // equation does not hold, kInvalidArgument on caller contract violations.
-  virtual Status VerifyBatch(const std::vector<PcsCommitment>& commitments,
-                             const std::vector<Fr>& evals, const Fr& point, Transcript* transcript,
-                             const std::vector<uint8_t>& proof, size_t* offset) const = 0;
+  // Verifier side: checks every opening batch of one proof, in the order the
+  // prover opened them. Per batch the transcript draws the RLC challenge and
+  // then absorbs the batch's proof bytes, mirroring OpenBatch. Consumes bytes
+  // from proof[*offset...] and advances *offset. Proof bytes are adversarial:
+  // implementations must never abort on them. Returns kMalformedProof for
+  // structurally bad bytes (truncation, invalid encodings, unsupported
+  // sizes), kVerifyFailed when an opening equation does not hold,
+  // kInvalidArgument on caller contract violations; the message starts with
+  // the failing batch's `what`.
+  virtual Status VerifyOpenings(const std::vector<PcsOpeningBatch>& batches,
+                                Transcript* transcript, const std::vector<uint8_t>& proof,
+                                size_t* offset) const = 0;
 
  private:
   LagrangeBasisCache lagrange_;

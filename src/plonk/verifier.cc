@@ -327,21 +327,20 @@ VerifyResult VerifyProof(const VerifyingKey& vk, const Pcs& pcs,
   for (const OpenEntry& e : entries) {
     rotations.insert(e.rotation);
   }
+  std::vector<PcsOpeningBatch> batches;
   for (int32_t rot : rotations) {
-    std::vector<PcsCommitment> comms;
-    std::vector<Fr> evals;
+    PcsOpeningBatch& batch = batches.emplace_back();
     for (const OpenEntry& e : entries) {
       if (e.rotation == rot) {
-        comms.push_back(*e.commitment);
-        evals.push_back(e.eval);
+        batch.commitments.push_back(*e.commitment);
+        batch.evals.push_back(e.eval);
       }
     }
-    if (Status s = pcs.VerifyBatch(comms, evals, rot_point(rot), &transcript, proof, &offset);
-        !s.ok()) {
-      return VerifyResult::Rejected(
-          VerifyStage::kPcsOpening,
-          Status(s.code(), "opening at rotation " + std::to_string(rot) + ": " + s.message()));
-    }
+    batch.point = rot_point(rot);
+    batch.what = "opening at rotation " + std::to_string(rot);
+  }
+  if (Status s = pcs.VerifyOpenings(batches, &transcript, proof, &offset); !s.ok()) {
+    return VerifyResult::Rejected(VerifyStage::kPcsOpening, std::move(s));
   }
   if (Status s = ProofExpectEnd(proof, offset); !s.ok()) {
     return VerifyResult::Rejected(VerifyStage::kTrailingBytes, std::move(s));

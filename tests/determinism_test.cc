@@ -19,6 +19,9 @@ namespace {
 
 constexpr char kGoldenSha256[] =
     "82268f6e6b00ab2caa8ddfe9256ca4efc3c0e186834c357d1c6d21b6c83069f1";
+// The same recipe under the IPA backend.
+constexpr char kGoldenIpaSha256[] =
+    "b29de45b9243f2fe728a142ef94dda40dae1b42ce34c027dea866316503f9040";
 
 std::string HexDigest(const std::vector<uint8_t>& bytes) {
   const auto digest = Sha256::Hash(bytes.data(), bytes.size());
@@ -47,6 +50,23 @@ TEST(DeterminismTest, GoldenProofBytes) {
 
   // Proving twice from the same inputs must be bit-identical (no scheduling
   // or iteration-order dependence leaks into the transcript).
+  const ZkmlProof proof2 = Prove(compiled, input);
+  EXPECT_EQ(proof2.bytes, proof.bytes);
+}
+
+TEST(DeterminismTest, GoldenIpaProofBytes) {
+  const Model model = MakeMnistCnn();
+  const PhysicalLayout layout = SimulateLayout(model, GadgetSetForModel(model), 14);
+  ZkmlOptions options;
+  options.backend = PcsKind::kIpa;
+  options.setup_seed = 42;
+  const CompiledModel compiled = CompileModelWithLayout(model, layout, options);
+  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 77), model.quant);
+  const ZkmlProof proof = Prove(compiled, input);
+  ASSERT_TRUE(Verify(compiled, proof));
+
+  EXPECT_EQ(proof.bytes.size(), 6703u);
+  EXPECT_EQ(HexDigest(proof.bytes), kGoldenIpaSha256);
   const ZkmlProof proof2 = Prove(compiled, input);
   EXPECT_EQ(proof2.bytes, proof.bytes);
 }

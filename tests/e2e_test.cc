@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/kernel_stats.h"
 #include "src/base/thread_pool.h"
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
@@ -136,6 +137,32 @@ TEST(E2eTest, MnistCommitRoundsKeepTheirMsmCounts) {
     EXPECT_EQ(stages[i].name, want[i].first);
     EXPECT_EQ(stages[i].kernels.msm_calls, want[i].second) << stages[i].name;
   }
+}
+
+// The verifier folds every KZG opening claim of a proof (one per rotation)
+// into a single MSM: verifying the mnist proof runs exactly one MSM and one
+// simulated pairing check.
+TEST(E2eTest, MnistVerifyRunsOneMsm) {
+  const Model model = MakeMnistCnn();
+  GadgetSet gadgets = GadgetSetForModel(model);
+  gadgets.relu_lookup = false;
+  gadgets.relu_bits = true;
+  ZkmlOptions options;
+  options.backend = PcsKind::kKzg;
+  const CompiledModel compiled =
+      CompileModelWithLayout(model, SimulateLayout(model, gadgets, 26), options);
+  const ZkmlProof proof = Prove(compiled, QuantizeTensor(SyntheticInput(model, 6), model.quant));
+
+  const obs::Counter& pairings =
+      obs::MetricsRegistry::Global().counter("pcs.kzg.pairing_checks");
+  const uint64_t before = pairings.Value();
+  KernelSink sink;
+  {
+    kernelstats::ScopedSink scope(&sink);
+    ASSERT_TRUE(Verify(compiled, proof));
+  }
+  EXPECT_EQ(sink.Capture().msm_calls, 1u);
+  EXPECT_EQ(pairings.Value() - before, 1u);
 }
 
 // Keygen commits the fixed and sigma columns as batches whose Lagrange basis

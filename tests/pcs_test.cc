@@ -20,6 +20,14 @@ std::vector<Fr> RandomCoeffs(Rng& rng, size_t n) {
   return c;
 }
 
+// Verifies a single opening batch.
+Status VerifyOne(const Pcs& pcs, std::vector<PcsCommitment> commitments, std::vector<Fr> evals,
+                 const Fr& point, Transcript* transcript, const std::vector<uint8_t>& proof,
+                 size_t* offset) {
+  return pcs.VerifyOpenings({{std::move(commitments), std::move(evals), point, "batch"}},
+                            transcript, proof, offset);
+}
+
 class PcsTest : public ::testing::TestWithParam<PcsKind> {
  protected:
   static constexpr size_t kMaxLen = 64;
@@ -85,7 +93,7 @@ TEST_P(PcsTest, SingleOpenVerifies) {
   Transcript vt("pcs-test");
   vt.AppendFr("y", y);
   size_t offset = 0;
-  const Status s = pcs->VerifyBatch({c}, {y}, z, &vt, proof, &offset);
+  const Status s = VerifyOne(*pcs, {c}, {y}, z, &vt, proof, &offset);
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(offset, proof.size());
 }
@@ -120,7 +128,7 @@ TEST_P(PcsTest, BatchOpenVerifies) {
     vt.AppendFr("y", y);
   }
   size_t offset = 0;
-  const Status s = pcs->VerifyBatch(cs, ys, z, &vt, proof, &offset);
+  const Status s = VerifyOne(*pcs, cs, ys, z, &vt, proof, &offset);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -141,7 +149,7 @@ TEST_P(PcsTest, WrongEvaluationRejected) {
   Transcript vt("pcs-test");
   vt.AppendFr("y", y);
   size_t offset = 0;
-  const Status s = pcs->VerifyBatch({c}, {y_bad}, z, &vt, proof, &offset);
+  const Status s = VerifyOne(*pcs, {c}, {y_bad}, z, &vt, proof, &offset);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kVerifyFailed) << s.ToString();
 }
@@ -162,7 +170,7 @@ TEST_P(PcsTest, WrongCommitmentRejected) {
   Transcript vt("pcs-test");
   vt.AppendFr("y", y);
   size_t offset = 0;
-  EXPECT_FALSE(pcs->VerifyBatch({pcs->Commit(other)}, {y}, z, &vt, proof, &offset).ok());
+  EXPECT_FALSE(VerifyOne(*pcs, {pcs->Commit(other)}, {y}, z, &vt, proof, &offset).ok());
 }
 
 TEST_P(PcsTest, CorruptedProofRejected) {
@@ -183,7 +191,7 @@ TEST_P(PcsTest, CorruptedProofRejected) {
   Transcript vt("pcs-test");
   vt.AppendFr("y", y);
   size_t offset = 0;
-  EXPECT_FALSE(pcs->VerifyBatch({c}, {y}, z, &vt, proof, &offset).ok());
+  EXPECT_FALSE(VerifyOne(*pcs, {c}, {y}, z, &vt, proof, &offset).ok());
 }
 
 TEST_P(PcsTest, TruncatedProofRejected) {
@@ -201,7 +209,7 @@ TEST_P(PcsTest, TruncatedProofRejected) {
 
   Transcript vt("pcs-test");
   size_t offset = 0;
-  const Status s = pcs->VerifyBatch({c}, {y}, z, &vt, proof, &offset);
+  const Status s = VerifyOne(*pcs, {c}, {y}, z, &vt, proof, &offset);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kMalformedProof) << s.ToString();
 }
@@ -220,6 +228,51 @@ TEST(KzgTest, ProofIsOnePoint) {
   std::vector<uint8_t> proof;
   pcs.OpenBatch({&coeffs}, Fr::Random(rng), &pt, &proof);
   EXPECT_EQ(proof.size(), 33u);
+}
+
+// A one-term claim that opens C = ((tau - z)·a + y)·G to y at z with witness
+// W = a·G, except that y* is off by `error`: its residual
+// C* - y*·G - (tau - z)·W is -error·G.
+KzgOpeningClaim ClaimWithError(const KzgSetup& setup, Rng& rng, const Fr& error) {
+  const Fr a = Fr::Random(rng);
+  const Fr y = Fr::Random(rng);
+  KzgOpeningClaim claim;
+  claim.point = Fr::Random(rng);
+  claim.commitments = {G1::Generator().ScalarMul((setup.tau - claim.point) * a + y).ToAffine()};
+  claim.scalars = {Fr::One()};
+  claim.y_star = y + error;
+  claim.w = G1::Generator().ScalarMul(a).ToAffine();
+  return claim;
+}
+
+TEST(KzgAccumulatorTest, HonestClaimsPass) {
+  const KzgSetup setup = KzgSetup::Create(4, 11);
+  Rng rng(13);
+  KzgAccumulator acc;
+  for (size_t tag = 0; tag < 3; ++tag) {
+    acc.SetTag(tag);
+    acc.Add(ClaimWithError(setup, rng, Fr::Zero()));
+  }
+  const Status s = acc.Check(setup);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// Residuals -G and +G sum to the identity, so an unweighted sum (r = 1) would
+// accept both claims; the transcript-drawn r must not, and the per-claim
+// re-check blames both.
+TEST(KzgAccumulatorTest, ErrorsThatCancelAtROneAreRejected) {
+  const KzgSetup setup = KzgSetup::Create(4, 11);
+  Rng rng(14);
+  KzgAccumulator acc;
+  acc.SetTag(3);
+  acc.Add(ClaimWithError(setup, rng, Fr::One()));
+  acc.SetTag(7);
+  acc.Add(ClaimWithError(setup, rng, Fr::One().Neg()));
+  std::vector<size_t> blamed;
+  const Status s = acc.Check(setup, &blamed);
+  EXPECT_EQ(s.code(), StatusCode::kVerifyFailed) << s.ToString();
+  EXPECT_EQ(blamed, (std::vector<size_t>{3, 7}));
+  EXPECT_NE(s.message().find("blamed proof(s): 3,7"), std::string::npos) << s.ToString();
 }
 
 TEST(IpaTest, ProofIsLogarithmic) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "src/base/kernel_stats.h"
 #include "src/base/rng.h"
 #include "src/gadgets/circuit_builder.h"
 #include "src/model/model_builder.h"
@@ -579,13 +580,20 @@ TEST(CrossProofForgeryTest, EightHonestProofsCostExactlyOnePairingCheck) {
 
   obs::Counter& pairings = obs::MetricsRegistry::Global().counter("pcs.kzg.pairing_checks");
   const uint64_t before = pairings.Value();
-  const CrossProofVerdict verdict = VerifyProofsBatched(claims);
+  KernelSink sink;
+  CrossProofVerdict verdict;
+  {
+    kernelstats::ScopedSink scope(&sink);
+    verdict = VerifyProofsBatched(claims);
+  }
   const uint64_t after = pairings.Value();
   EXPECT_TRUE(verdict.ok()) << verdict.status.ToString();
   EXPECT_TRUE(verdict.blamed.empty());
   // The acceptance property batching exists for: K=8 proofs, ONE pairing
-  // check. Every per-proof opening claim was deferred into the accumulator.
+  // check, computed as ONE MSM. Every per-proof opening claim was deferred
+  // into the accumulator.
   EXPECT_EQ(after - before, 1u);
+  EXPECT_EQ(sink.Capture().msm_calls, 1u);
 }
 
 TEST(CrossProofForgeryTest, OneForgedProofOfEightBlamedByIndex) {
@@ -657,6 +665,31 @@ TEST(CrossProofForgeryTest, IpaClaimsVerifyInlineInTheSameBatch) {
   };
   const CrossProofVerdict verdict = VerifyProofsBatched(claims);
   EXPECT_TRUE(verdict.ok()) << verdict.status.ToString();
+}
+
+// A single proof's openings are checked together as one MSM; a forged
+// witness point is still rejected at the opening stage, and the per-claim
+// re-check on the rejection path names the rotation whose opening is bad.
+TEST(SingleProofForgeryTest, NegatedWitnessPointBlamesItsRotation) {
+  const Model model = TinyChainModel();
+  const CompiledModel compiled = CompileModel(model, FastShardedOptions(PcsKind::kKzg));
+  const ZkmlProof proof =
+      Prove(compiled, QuantizeTensor(SyntheticInput(model, 500), model.quant));
+  // The proof ends with one witness point per rotation, rotation 0 then 1;
+  // flipping a compressed-point prefix byte negates that point.
+  for (const auto& [rotation, from_end] : {std::pair<int, size_t>{0, 66}, {1, 33}}) {
+    ZkmlProof forged = proof;
+    ASSERT_GE(forged.bytes.size(), from_end);
+    forged.bytes[forged.bytes.size() - from_end] ^= 0x01;
+    const VerifyResult r =
+        VerifyDetailed(compiled.pk.vk, *compiled.pcs, forged.instance, forged.bytes);
+    ASSERT_FALSE(r.ok()) << "negated witness point at rotation " << rotation << " accepted";
+    EXPECT_EQ(r.stage, VerifyStage::kPcsOpening) << r.ToString();
+    EXPECT_EQ(r.status.code(), StatusCode::kVerifyFailed) << r.ToString();
+    EXPECT_NE(r.status.message().find("opening at rotation " + std::to_string(rotation) + ":"),
+              std::string::npos)
+        << r.ToString();
+  }
 }
 
 TEST(ShardedForgeryTest2, KzgForgedOpeningCaughtOnlyByAggregateCheck) {
