@@ -118,6 +118,22 @@ void BM_G1ScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_G1ScalarMul)->Unit(benchmark::kMicrosecond);
 
+// One Lagrange-basis build at 2^k (the G1 inverse FFT keygen and every
+// compile pay once per setup and size): (k - 2) * 2^{k-1} + 1 twiddle scalar
+// multiplications plus 2^k scalings, split across the pool. The CI set-up
+// gate compares BM_LagrangeBasis/9 against 2305 x BM_G1ScalarMul.
+void BM_LagrangeBasis(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(1) << k;
+  const KzgSetup setup = KzgSetup::Create(n, 11);
+  for (auto _ : state) {
+    std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(setup.powers);
+    benchmark::DoNotOptimize(lagrange);
+  }
+  state.counters["size"] = static_cast<double>(n);
+}
+BENCHMARK(BM_LagrangeBasis)->Arg(9)->Arg(11)->Unit(benchmark::kMillisecond);
+
 // --- Quotient evaluation: compiled calculation plans vs. legacy AST walk ---
 //
 // A representative mixed circuit (degree-3 gate, rotated gates, one two-column

@@ -290,4 +290,31 @@ void ParallelFor(size_t begin, size_t end, const std::function<void(size_t, size
   group.Wait();
 }
 
+void ParallelForHeavy(size_t begin, size_t end,
+                      const std::function<void(size_t, size_t)>& chunk_fn, ThreadPool& pool) {
+  if (end <= begin) {
+    return;
+  }
+  const size_t n = end - begin;
+  // A few chunks per thread, not one: the waiting caller helps run chunks
+  // while every pinned worker may be running one too, so one CPU can carry
+  // two chunks at half speed. Finer chunks let the other workers absorb
+  // that (a 2^9 Lagrange basis build on 4 CPUs: 95 -> 77 ms); each chunk is
+  // still tens of scalar multiplications, far above the task overhead.
+  constexpr size_t kChunksPerThread = 4;
+  const size_t num_chunks =
+      pool.num_threads() <= 1 ? 1 : std::min(n, pool.num_threads() * kChunksPerThread);
+  if (num_chunks <= 1) {
+    chunk_fn(begin, end);
+    return;
+  }
+  TaskGroup group(pool);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t lo = begin + n * c / num_chunks;
+    const size_t hi = begin + n * (c + 1) / num_chunks;
+    group.Submit([&chunk_fn, lo, hi] { chunk_fn(lo, hi); });
+  }
+  group.Wait();
+}
+
 }  // namespace zkml

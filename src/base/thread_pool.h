@@ -145,6 +145,17 @@ class TaskGroup {
 void ParallelFor(size_t begin, size_t end, const std::function<void(size_t, size_t)>& chunk_fn,
                  size_t bytes_per_elem = 32);
 
+// Runs chunk_fn over [begin, end) split into a few contiguous chunks per
+// thread of `pool`, at every range size. For loops whose every element is
+// expensive — a G1 scalar multiplication (~75 µs), a field square root —
+// where ParallelFor's 1024-element serial cutoff and cache-sized grains
+// (tuned for ~10 ns field operations) would leave a few hundred elements on
+// one core. Serial only on a one-thread pool. Safe to call from inside a
+// TaskGroup task: the nested Wait() runs this call's own chunks.
+void ParallelForHeavy(size_t begin, size_t end,
+                      const std::function<void(size_t, size_t)>& chunk_fn,
+                      ThreadPool& pool = ThreadPool::Global());
+
 }  // namespace zkml
 
 #endif  // SRC_BASE_THREAD_POOL_H_

@@ -185,31 +185,71 @@ G1 G1::Neg() const {
   return r;
 }
 
+namespace {
+
+// Width-5 NAF: every nonzero digit is odd with |d| < 2^4, and nonzero digits
+// sit at least 5 positions apart, so a ~131-bit GLV half costs ~22 additions
+// from a table of the 8 odd multiples P, 3P, ..., 15P.
+constexpr int kNafWidth = 5;
+// A b-bit value has at most b + 1 NAF digits.
+constexpr int kMaxNafDigits = Glv::kGlvBits + 1;
+
+// Writes the width-5 NAF of k (sum_i naf[i] * 2^i == k) and returns its
+// length.
+int WindowedNaf(U256 k, int8_t* naf) {
+  int len = 0;
+  while (!k.IsZero()) {
+    ZKML_DCHECK(len < kMaxNafDigits);
+    int d = 0;
+    if (k.IsOdd()) {
+      d = static_cast<int>(k.limbs[0] & ((1u << kNafWidth) - 1));
+      if (d >= (1 << (kNafWidth - 1))) {
+        d -= 1 << kNafWidth;
+        AddU256(k, U256::FromU64(static_cast<uint64_t>(-d)), &k);
+      } else {
+        SubU256(k, U256::FromU64(static_cast<uint64_t>(d)), &k);
+      }
+    }
+    naf[len++] = static_cast<int8_t>(d);
+    k = ShrU256(k, 1);
+  }
+  return len;
+}
+
+}  // namespace
+
 G1 G1::ScalarMul(const Fr& s) const {
-  const U256 e = s.ToCanonical();
-  const int hb = e.HighestBit();
-  if (hb < 0 || IsIdentity()) {
+  if (IsIdentity() || s.IsZero()) {
     return Identity();
   }
-  // Fixed 4-bit windows: one table add per 4 doublings instead of one
-  // conditional add per bit. 64 divides evenly into 4-bit windows, so digits
-  // never straddle a limb boundary.
-  constexpr int kWindow = 4;
-  constexpr int kTableSize = (1 << kWindow) - 1;
-  G1 table[kTableSize];  // table[i] = (i+1) * P
-  table[0] = *this;
+  const Glv& glv = Glv::Get();
+  const GlvDecomposed d = glv.Decompose(s);
+  // table[0][i] = (2i+1) * P; table[1][i] = phi((2i+1) * P), which is the
+  // same Jacobian point with X scaled by beta (x = X/Z^2).
+  constexpr int kTableSize = 1 << (kNafWidth - 2);
+  G1 table[2][kTableSize];
+  table[0][0] = *this;
+  const G1 twice = Double();
   for (int i = 1; i < kTableSize; ++i) {
-    table[i] = table[i - 1] + *this;
+    table[0][i] = table[0][i - 1] + twice;
   }
+  for (int i = 0; i < kTableSize; ++i) {
+    table[1][i] = table[0][i];
+    table[1][i].x_ = glv.beta() * table[0][i].x_;
+  }
+  int8_t naf[2][kMaxNafDigits];
+  const int len[2] = {WindowedNaf(d.k1, naf[0]), WindowedNaf(d.k2, naf[1])};
+  const bool neg[2] = {d.k1_neg, d.k2_neg};
   G1 acc;
-  for (int w = hb / kWindow; w >= 0; --w) {
-    for (int d = 0; d < kWindow; ++d) {
-      acc = acc.Double();
-    }
-    const int bit0 = w * kWindow;
-    const uint64_t digit = (e.limbs[bit0 / 64] >> (bit0 % 64)) & (kTableSize);
-    if (digit != 0) {
-      acc += table[digit - 1];
+  for (int i = std::max(len[0], len[1]) - 1; i >= 0; --i) {
+    acc = acc.Double();
+    for (int h = 0; h < 2; ++h) {
+      if (i >= len[h] || naf[h][i] == 0) {
+        continue;
+      }
+      const int digit = naf[h][i];
+      const G1& p = table[h][(digit < 0 ? -digit : digit) >> 1];
+      acc += (digit < 0) != neg[h] ? p.Neg() : p;
     }
   }
   return acc;
@@ -636,6 +676,36 @@ G1 AccumulateWindowChunk(const ExtBases& ext, const int16_t* wdigits, size_t lo,
 
 namespace internal {
 
+G1 ScalarMulWindowed(const G1& p, const Fr& s) {
+  const U256 e = s.ToCanonical();
+  const int hb = e.HighestBit();
+  if (hb < 0 || p.IsIdentity()) {
+    return G1::Identity();
+  }
+  // Fixed 4-bit windows: one table add per 4 doublings instead of one
+  // conditional add per bit. 64 divides evenly into 4-bit windows, so digits
+  // never straddle a limb boundary.
+  constexpr int kWindow = 4;
+  constexpr int kTableSize = (1 << kWindow) - 1;
+  G1 table[kTableSize];  // table[i] = (i+1) * P
+  table[0] = p;
+  for (int i = 1; i < kTableSize; ++i) {
+    table[i] = table[i - 1] + p;
+  }
+  G1 acc;
+  for (int w = hb / kWindow; w >= 0; --w) {
+    for (int d = 0; d < kWindow; ++d) {
+      acc = acc.Double();
+    }
+    const int bit0 = w * kWindow;
+    const uint64_t digit = (e.limbs[bit0 / 64] >> (bit0 % 64)) & (kTableSize);
+    if (digit != 0) {
+      acc += table[digit - 1];
+    }
+  }
+  return acc;
+}
+
 G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num_chunks) {
   const Glv& glv = Glv::Get();
   const int num_windows = NumWindows(c);
@@ -790,9 +860,11 @@ std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bas
   });
   // Radix-2 DIT, the same schedule as the scalar FftCore: bit-reverse, then
   // per-stage butterflies flattened across (block, j) so every stage uses the
-  // whole pool. The twiddle multiply is a full scalar multiplication here —
-  // this transform runs once per (setup, domain-size) pair and is cached by
-  // the PCS backends, so per-proof cost is zero.
+  // whole pool. The twiddle multiply is a full scalar multiplication here, so
+  // each stage goes through ParallelForHeavy: a 2^9 stage is 256 butterflies,
+  // far below ParallelFor's serial cutoff. This transform runs once per
+  // (setup, domain-size) pair and is cached by the PCS backends, so its cost
+  // lands in setup, not in proving.
   {
     size_t j = 0;
     for (size_t i = 1; i < n; ++i) {
@@ -809,7 +881,7 @@ std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bas
   for (size_t len = 2; len <= n; len <<= 1) {
     const size_t half = len / 2;
     const size_t stride = n / len;
-    ParallelFor(0, n / 2, [&](size_t lo, size_t hi) {
+    ParallelForHeavy(0, n / 2, [&](size_t lo, size_t hi) {
       size_t i = lo;
       while (i < hi) {
         const size_t blk = i / half;
@@ -831,7 +903,7 @@ std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bas
   }
   const Fr n_inv = Fr::FromU64(n).Inverse();
   std::vector<G1Affine> out(n);
-  ParallelFor(0, n, [&](size_t lo, size_t hi) {
+  ParallelForHeavy(0, n, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       a[i] = a[i].ScalarMul(n_inv);
     }
@@ -843,8 +915,9 @@ std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bas
 std::vector<G1Affine> DeriveGenerators(uint64_t seed, size_t count) {
   std::vector<G1Affine> out(count);
   // Each index gets its own PRNG stream so derivation parallelizes while
-  // staying deterministic.
-  ParallelFor(0, count, [&](size_t lo, size_t hi) {
+  // staying deterministic. Every element costs at least one field square
+  // root, an exponentiation, hence the heavy-loop split.
+  ParallelForHeavy(0, count, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       Rng rng((seed ^ 0x5a5a5a5a12345678ULL) + i * 0x9e3779b97f4a7c15ULL);
       for (;;) {

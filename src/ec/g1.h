@@ -52,7 +52,10 @@ class G1 {
   G1 operator-(const G1& o) const { return *this + o.Neg(); }
   G1& operator+=(const G1& o) { return *this = *this + o; }
 
-  // Scalar multiplication by the canonical representation of s.
+  // s * P by GLV: s splits into two ~131-bit halves k1 + lambda*k2
+  // (Glv::Decompose), and both run width-5 NAF digits through one shared
+  // doubling chain, adding from the odd multiples of P and of
+  // phi(P) = (beta*X, Y, Z).
   G1 ScalarMul(const Fr& s) const;
 
   G1Affine ToAffine() const;
@@ -82,6 +85,12 @@ namespace internal {
 // count; exposed so tests can cross-check the chunked-merge path directly.
 G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num_chunks);
 
+// s * P by a 4-bit fixed-window loop over the full canonical scalar, without
+// the endomorphism. Glv's constructor needs it to calibrate beta against
+// lambda*G before ScalarMul can decompose anything; tests use it as the
+// reference for ScalarMul.
+G1 ScalarMulWindowed(const G1& p, const Fr& s);
+
 }  // namespace internal
 
 // Transforms monomial-basis commitment bases G_i into Lagrange-basis bases
@@ -91,7 +100,9 @@ G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num
 // transpose the commitment identity needs is the inverse FFT itself). For any
 // linear commitment, commit(coeffs, G) == commit(evals, L) — which is what
 // lets the prover commit straight from evaluation form. One-time setup work:
-// butterflies are full scalar multiplications, parallelized across the pool.
+// at n = 2^k it costs (k - 2) * n/2 + 1 twiddle scalar multiplications plus n
+// scalings by 1/n; each FFT stage and the scaling pass split their elements
+// into per-thread chunks (ParallelForHeavy) at every n.
 std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bases);
 
 // Deterministically derives `count` independent curve points ("nothing up my

@@ -254,7 +254,9 @@ Glv::Glv() {
     ZKML_CHECK_MSG(a < 64, "no Fq non-cube found");
     root = Fq::FromU64(a).Pow(exp_q);
   }
-  const G1 lambda_g = G1::Generator().ScalarMul(lambda_);
+  // ScalarMul itself decomposes through this object, so the calibration
+  // multiplies by the full scalar.
+  const G1 lambda_g = internal::ScalarMulWindowed(G1::Generator(), lambda_);
   const G1Affine g = G1Affine::Generator();
   auto phi_matches = [&](const Fq& b) {
     return G1::FromAffine(G1Affine{b * g.x, g.y, /*infinity=*/false}) == lambda_g;

@@ -101,24 +101,19 @@ void IpaPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const F
       a[i] = a[i] * ch + a[half + i] * ch_inv;
       b[i] = b[i] * ch_inv + b[half + i] * ch;
     }
-    // Each folded generator costs two scalar multiplications. A round folds
-    // at most a few hundred of them, below ParallelFor's serial cutoff, so
-    // the round is split into one explicit chunk per pool thread; the results
-    // then share one field inversion. The last round's g' is never read.
+    // Each folded generator costs two scalar multiplications, so the round
+    // is split into per-thread chunks at any size (ParallelForHeavy; a round
+    // folds a few hundred generators, which ParallelFor would run serially).
+    // The results then share one field inversion. The last round's g' is
+    // never read.
     if (half > 1) {
       std::vector<G1> folded(half);
-      const size_t chunks = std::min(half, std::max<size_t>(1, ThreadPool::Global().num_threads()));
-      {
-        TaskGroup group;
-        for (size_t t = 0; t < chunks; ++t) {
-          group.Submit([&, t] {
-            for (size_t i = half * t / chunks; i < half * (t + 1) / chunks; ++i) {
-              folded[i] = G1::FromAffine(g[i]).ScalarMul(ch_inv) +
-                          G1::FromAffine(g[half + i]).ScalarMul(ch);
-            }
-          });
+      ParallelForHeavy(0, half, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) {
+          folded[i] = G1::FromAffine(g[i]).ScalarMul(ch_inv) +
+                      G1::FromAffine(g[half + i]).ScalarMul(ch);
         }
-      }
+      });
       G1::BatchToAffine(folded.data(), half, g.data());
     }
     len = half;

@@ -18,8 +18,10 @@ KzgSetup KzgSetup::Create(size_t max_len, uint64_t seed) {
   KzgSetup setup;
   setup.tau = Fr::Random(rng);
   setup.powers.resize(max_len);
-  // powers[i] = tau^i * G, scalar-multiplied in parallel. Setup cost is
-  // excluded from benchmarks (the real system downloads ceremony output).
+  // powers[i] = tau^i * G: one scalar multiplication per power, split into
+  // per-thread chunks that each normalize with one shared inversion. This is
+  // part of every compile's set-up time (a real deployment would load
+  // ceremony output instead).
   std::vector<Fr> tau_pows(max_len);
   Fr tau_i = Fr::One();
   for (size_t i = 0; i < max_len; ++i) {
@@ -27,10 +29,12 @@ KzgSetup KzgSetup::Create(size_t max_len, uint64_t seed) {
     tau_i *= setup.tau;
   }
   const G1 g = G1::Generator();
-  ParallelFor(0, max_len, [&](size_t lo, size_t hi) {
+  ParallelForHeavy(0, max_len, [&](size_t lo, size_t hi) {
+    std::vector<G1> powers(hi - lo);
     for (size_t i = lo; i < hi; ++i) {
-      setup.powers[i] = g.ScalarMul(tau_pows[i]).ToAffine();
+      powers[i - lo] = g.ScalarMul(tau_pows[i]);
     }
+    G1::BatchToAffine(powers.data(), powers.size(), setup.powers.data() + lo);
   });
   return setup;
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/ec/g1.h"
 #include "src/ec/glv.h"
@@ -48,6 +50,40 @@ TEST(G1Test, ScalarMulLinearity) {
   EXPECT_EQ(g.ScalarMul(s).ScalarMul(t), g.ScalarMul(s * t));
   EXPECT_EQ(g.ScalarMul(Fr::Zero()), G1::Identity());
   EXPECT_EQ(g.ScalarMul(Fr::One()), g);
+}
+
+// The GLV ScalarMul must give the same group element as the full-scalar
+// windowed loop on edge scalars (zero, small, r - 1, lambda and lambda^2,
+// whose GLV halves are tiny, and powers of two near the half-length bound)
+// and on random ones, for the identity, the generator and random points.
+TEST(G1Test, ScalarMulMatchesWindowedReference) {
+  const Glv& glv = Glv::Get();
+  Rng rng(4);
+  std::vector<G1> points = {G1::Identity(), G1::Generator()};
+  for (int i = 0; i < 3; ++i) {
+    points.push_back(internal::ScalarMulWindowed(G1::Generator(), Fr::Random(rng)));
+  }
+  U256 two128;
+  two128.limbs[2] = 1;
+  U256 two130;
+  two130.limbs[2] = 4;
+  std::vector<Fr> scalars = {Fr::Zero(),
+                             Fr::One(),
+                             Fr::FromU64(2),
+                             Fr::Zero() - Fr::One(),
+                             glv.lambda(),
+                             glv.lambda() * glv.lambda(),
+                             Fr::FromCanonical(two128),
+                             Fr::FromCanonical(two130)};
+  for (int i = 0; i < 200; ++i) {
+    scalars.push_back(Fr::Random(rng));
+  }
+  for (size_t p = 0; p < points.size(); ++p) {
+    for (size_t i = 0; i < scalars.size(); ++i) {
+      EXPECT_EQ(points[p].ScalarMul(scalars[i]), internal::ScalarMulWindowed(points[p], scalars[i]))
+          << "point " << p << ", scalar " << scalars[i].ToCanonical().ToHex();
+    }
+  }
 }
 
 TEST(G1Test, GroupOrderAnnihilates) {
@@ -197,6 +233,29 @@ TEST(MsmTest, ChunkedImplMatchesUnchunked) {
   }
 }
 
+// The G1 FFT must equal its definition L_j = sum_i (1/n) omega^{-ij} G_i,
+// computed here for every j as one MSM.
+TEST(LagrangeBasisTest, MatchesDefinition) {
+  for (int k : {3, 6}) {
+    const size_t n = static_cast<size_t>(1) << k;
+    const std::vector<G1Affine> bases = DeriveGenerators(17, n);
+    const std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(bases);
+    ASSERT_EQ(lagrange.size(), n);
+    const Fr omega_inv = FrRootOfUnity(k).Inverse();
+    const Fr n_inv = Fr::FromU64(n).Inverse();
+    for (size_t j = 0; j < n; ++j) {
+      const Fr step = omega_inv.Pow(U256::FromU64(j));
+      std::vector<Fr> m(n);
+      Fr cur = n_inv;
+      for (size_t i = 0; i < n; ++i) {
+        m[i] = cur;
+        cur *= step;
+      }
+      EXPECT_EQ(G1::FromAffine(lagrange[j]), Msm(bases, m)) << "n=" << n << " j=" << j;
+    }
+  }
+}
+
 TEST(DeriveGeneratorsTest, DeterministicAndOnCurve) {
   auto a = DeriveGenerators(42, 16);
   auto b = DeriveGenerators(42, 16);
@@ -259,7 +318,8 @@ TEST(GlvTest, EndomorphismActsAsLambda) {
     const G1Affine p = G1::Generator().ScalarMul(Fr::Random(rng)).ToAffine();
     const G1Affine phi{glv.beta() * p.x, p.y, p.infinity};
     EXPECT_TRUE(phi.IsOnCurve());
-    EXPECT_EQ(G1::FromAffine(phi), G1::FromAffine(p).ScalarMul(glv.lambda()));
+    // Against the full-scalar loop: ScalarMul itself runs through phi.
+    EXPECT_EQ(G1::FromAffine(phi), internal::ScalarMulWindowed(G1::FromAffine(p), glv.lambda()));
   }
 }
 

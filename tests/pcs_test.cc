@@ -230,6 +230,19 @@ TEST(KzgTest, ProofIsOnePoint) {
   EXPECT_EQ(proof.size(), 33u);
 }
 
+// Every power must be tau^i * G as the full-scalar windowed loop computes it;
+// the sampled indices straddle chunk boundaries of the parallel build.
+TEST(KzgTest, SetupPowersAreTauPowersOfG) {
+  const KzgSetup setup = KzgSetup::Create(512, 21);
+  ASSERT_EQ(setup.powers.size(), 512u);
+  for (size_t i : {0, 1, 2, 127, 128, 255, 256, 300, 383, 384, 510, 511}) {
+    const Fr tau_i = setup.tau.Pow(U256::FromU64(i));
+    EXPECT_EQ(G1::FromAffine(setup.powers[i]),
+              internal::ScalarMulWindowed(G1::Generator(), tau_i))
+        << "i=" << i;
+  }
+}
+
 // A one-term claim that opens C = ((tau - z)·a + y)·G to y at z with witness
 // W = a·G, except that y* is off by `error`: its residual
 // C* - y*·G - (tau - z)·W is -error·G.

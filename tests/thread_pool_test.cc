@@ -138,5 +138,54 @@ TEST(ThreadPoolTest, SiblingTasksSharingLazyInitDoNotDeadlock) {
   }
 }
 
+// ParallelForHeavy splits at every size: each index of [begin, end) lands in
+// exactly one chunk for empty, single, below-thread-count and odd ranges,
+// on the global pool and on ad-hoc pools of one and four workers.
+TEST(ThreadPoolTest, ParallelForHeavyVisitsEveryIndexOnce) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&ThreadPool::Global(), &one, &four}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{513}}) {
+      std::vector<std::atomic<int>> visits(n + 2);
+      ParallelForHeavy(
+          1, n + 1,
+          [&](size_t lo, size_t hi) {
+            for (size_t i = lo; i < hi; ++i) {
+              visits[i].fetch_add(1, std::memory_order_relaxed);
+            }
+          },
+          *pool);
+      for (size_t i = 0; i < n + 2; ++i) {
+        EXPECT_EQ(visits[i].load(), (i >= 1 && i <= n) ? 1 : 0)
+            << "pool width " << pool->num_threads() << ", n=" << n << ", index " << i;
+      }
+    }
+  }
+}
+
+// Sharded proving and compiling run whole provers and set-ups as TaskGroup
+// tasks, so the IPA generator fold, the KZG setup and the Lagrange basis
+// build call ParallelForHeavy from inside one; the nested call must finish
+// even when every worker is busy with an outer task.
+TEST(ThreadPoolTest, ParallelForHeavyNestedInTaskGroupDoesNotDeadlock) {
+  for (const size_t width : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(width);
+    std::atomic<int> visits{0};
+    TaskGroup group(pool);
+    for (int t = 0; t < 8; ++t) {
+      group.Submit([&] {
+        ParallelForHeavy(
+            0, 64,
+            [&](size_t lo, size_t hi) {
+              visits.fetch_add(static_cast<int>(hi - lo), std::memory_order_relaxed);
+            },
+            pool);
+      });
+    }
+    group.Wait();
+    EXPECT_EQ(visits.load(), 8 * 64) << "pool width " << width;
+  }
+}
+
 }  // namespace
 }  // namespace zkml
