@@ -24,8 +24,7 @@
 #include "src/plonk/quotient.h"
 #include "src/poly/domain.h"
 #include "src/tensor/quantizer.h"
-#include "src/zkml/batched.h"
-#include "src/zkml/sharded.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 namespace {
@@ -549,21 +548,21 @@ BENCHMARK(BM_FftMt)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
 void BM_ProveModel(benchmark::State& state, const char* zoo_name) {
   const size_t requested = static_cast<size_t>(state.range(0));
   const Model model = MakeZooModel(zoo_name);
-  StatusOr<CompiledShardedModel> compiled = CompileSharded(model, requested);
+  StatusOr<CompiledPlan> compiled = CompilePlan(model, {requested, 1});
   if (!compiled.ok()) {
     state.SkipWithError(compiled.status().ToString().c_str());
     return;
   }
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 7), model.quant);
   for (auto _ : state) {
-    StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+    StatusOr<PlanProof> proof = ProvePlan(*compiled, {input});
     if (!proof.ok()) {
       state.SkipWithError(proof.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(proof->ProofBytes());
+    benchmark::DoNotOptimize(proof->artifact.proofs.size());
   }
-  state.counters["size"] = static_cast<double>(compiled->num_shards());
+  state.counters["size"] = static_cast<double>(compiled->plan.shards);
   state.counters["threads"] = static_cast<double>(ThreadPool::Global().num_threads());
 }
 BENCHMARK_CAPTURE(BM_ProveModel, mnist, "mnist")
@@ -582,7 +581,7 @@ BENCHMARK_CAPTURE(BM_ProveModel, vgg16, "vgg16")
 void BM_ProveBatched(benchmark::State& state, const char* zoo_name) {
   const size_t batch = static_cast<size_t>(state.range(0));
   const Model model = MakeZooModel(zoo_name);
-  StatusOr<CompiledBatchedModel> compiled = CompileBatched(model, batch);
+  StatusOr<CompiledPlan> compiled = CompilePlan(model, {1, batch});
   if (!compiled.ok()) {
     state.SkipWithError(compiled.status().ToString().c_str());
     return;
@@ -593,13 +592,13 @@ void BM_ProveBatched(benchmark::State& state, const char* zoo_name) {
   }
   double s_per_inf = 0;
   for (auto _ : state) {
-    StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, inputs_q);
+    StatusOr<PlanProof> proof = ProvePlan(*compiled, inputs_q);
     if (!proof.ok()) {
       state.SkipWithError(proof.status().ToString().c_str());
       return;
     }
     s_per_inf = proof->prove_seconds / static_cast<double>(batch);
-    benchmark::DoNotOptimize(proof->ProofBytes());
+    benchmark::DoNotOptimize(proof->artifact.proofs.size());
   }
   state.counters["size"] = static_cast<double>(batch);
   state.counters["s_per_inf"] = s_per_inf;

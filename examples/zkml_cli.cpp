@@ -17,23 +17,21 @@
 // Global telemetry flags (may appear anywhere on the command line):
 //   --trace=<file>    write a Chrome/Perfetto trace of the whole command
 //   --metrics=<file>  write the metrics registry (schema zkml.metrics/v1)
-//   --report=<file>   prove: run report (zkml.run_report/v1); sharded prove:
-//                     sharded report (zkml.sharded_proof/v1);
+//   --report=<file>   prove: the plan's report (zkml.run_report/v1, or
+//                     zkml.sharded_proof/v1 / zkml.batched_proof/v1);
 //                     profile: the profile as JSON (zkml.circuit_profile/v1);
 //                     audit: soundness report (zkml.soundness/v1)
 //   --shards=N        prove: N>1 cuts the model into cost-balanced shards
-//                     proved concurrently; the proof file then holds a
-//                     zkml.sharded_proof/v1 artifact, which `verify` detects
-//                     and checks with one aggregated opening check
+//                     proved concurrently (plan {N,1})
 //   --batch=N         prove: N>1 proves N inferences (seeds seed..seed+N-1)
-//                     in ONE circuit; the proof file then holds a
-//                     zkml.batched_proof/v1 artifact, which `verify` detects
-//                     (the statement is the concatenated per-inference
-//                     [input ‖ output] segments)
+//                     in ONE circuit (plan {1,N}); the statement is the
+//                     concatenated per-inference [input ‖ output] segments.
+//                     --shards and --batch together are rejected (exit 1)
 //
-// Proof files carry the proof bytes plus the public statement; `verify`
-// rebuilds the verifying key deterministically from the model file, so the
-// verifier never sees the prover's witness.
+// Proof files carry the plan's zkml.proof/v2 artifact (a plan {1,1} proof is
+// raw plonk bytes) plus the public statement; `verify` reads the plan from
+// the artifact and rebuilds its verifying keys deterministically from the
+// model file, so the verifier never sees the prover's witness.
 //
 // Exit codes (documented in README.md; model and proof files are untrusted,
 // so every malformed input maps to an exit code, never an abort):
@@ -66,9 +64,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/plonk/proof_io.h"
-#include "src/zkml/batched.h"
-#include "src/zkml/sharded.h"
-#include "src/zkml/zkml.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 namespace {
@@ -121,10 +117,10 @@ ZkmlOptions CliOptions(PcsKind backend) {
 }
 
 // Proof file: u32 proof length, proof bytes, u32 instance length, instances.
-// The proof-bytes slot holds either a single-circuit proof or a
-// zkml.sharded_proof/v1 artifact ("ZKSH" magic); `verify` sniffs which.
-bool WriteProofFileBytes(const std::string& path, const std::vector<uint8_t>& bytes,
-                         const std::vector<Fr>& instance) {
+// The proof-bytes slot holds a zkml.proof/v2 artifact (raw plonk bytes for
+// plan {1,1}).
+bool WriteProofFile(const std::string& path, const std::vector<uint8_t>& bytes,
+                    const std::vector<Fr>& instance) {
   std::vector<uint8_t> blob;
   for (int i = 0; i < 4; ++i) {
     blob.push_back(static_cast<uint8_t>(bytes.size() >> (8 * i)));
@@ -139,10 +135,6 @@ bool WriteProofFileBytes(const std::string& path, const std::vector<uint8_t>& by
   std::ofstream out(path, std::ios::binary);
   out.write(reinterpret_cast<const char*>(blob.data()), static_cast<std::streamsize>(blob.size()));
   return static_cast<bool>(out);
-}
-
-bool WriteProofFile(const std::string& path, const ZkmlProof& proof) {
-  return WriteProofFileBytes(path, proof.bytes, proof.instance);
 }
 
 Status ReadProofFile(const std::string& path, std::vector<uint8_t>* proof,
@@ -228,99 +220,10 @@ int CmdOptimize(const std::string& path, PcsKind backend) {
   return kExitOk;
 }
 
-// Sharded prove (--shards=N, N>1): the model is cut into cost-balanced
-// sub-circuits proved concurrently; the proof file's proof-bytes slot holds
-// the zkml.sharded_proof/v1 artifact and the instance slot the composite
-// statement, so `verify` works on the same file format.
-int CmdProveSharded(const Model& model, const std::string& proof_path, uint64_t seed,
-                    PcsKind backend, const std::string& report_path, int shards) {
-  StatusOr<CompiledShardedModel> compiled =
-      CompileSharded(model, static_cast<size_t>(shards), CliOptions(backend));
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "sharded compile failed: %s\n", compiled.status().ToString().c_str());
-    return kExitMalformedInput;
-  }
-  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, seed), model.quant);
-  StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input, &g_interrupt);
-  if (!proof.ok()) {
-    std::fprintf(stderr, "sharded prove failed: %s\n", proof.status().ToString().c_str());
-    return proof.status().code() == StatusCode::kCancelled ||
-                   proof.status().code() == StatusCode::kDeadlineExceeded
-               ? kExitInterrupted
-               : kExitUsage;
-  }
-  if (!WriteProofFileBytes(proof_path, EncodeShardedProof(*proof), proof->instance)) {
-    std::fprintf(stderr, "cannot write %s\n", proof_path.c_str());
-    return kExitUsage;
-  }
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    out << ShardedReportJson(*compiled, *proof).DumpPretty() << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write run report %s\n", report_path.c_str());
-      return kExitUsage;
-    }
-    std::printf("sharded run report -> %s\n", report_path.c_str());
-  }
-  std::printf("proved %s across %zu shards on input seed %llu in %.2fs "
-              "(witness %.2fs, slowest shard %.2fs): %zu artifact bytes -> %s\n",
-              model.name.c_str(), compiled->num_shards(),
-              static_cast<unsigned long long>(seed), proof->prove_seconds,
-              proof->witness_seconds,
-              *std::max_element(proof->shard_prove_seconds.begin(),
-                                proof->shard_prove_seconds.end()),
-              proof->ProofBytes(), proof_path.c_str());
-  return kExitOk;
-}
-
-// Batched prove (--batch=N, N>1): N inferences (synthetic inputs from seeds
-// seed..seed+N-1) in ONE circuit; the proof file's proof-bytes slot holds the
-// zkml.batched_proof/v1 artifact and the instance slot the concatenated
-// statement, so `verify` works on the same file format.
-int CmdProveBatched(const Model& model, const std::string& proof_path, uint64_t seed,
-                    PcsKind backend, const std::string& report_path, int batch) {
-  StatusOr<CompiledBatchedModel> compiled =
-      CompileBatched(model, static_cast<size_t>(batch), CliOptions(backend));
-  if (!compiled.ok()) {
-    std::fprintf(stderr, "batched compile failed: %s\n", compiled.status().ToString().c_str());
-    return kExitMalformedInput;
-  }
-  std::vector<Tensor<int64_t>> inputs_q;
-  inputs_q.reserve(static_cast<size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    inputs_q.push_back(
-        QuantizeTensor(SyntheticInput(model, seed + static_cast<uint64_t>(i)), model.quant));
-  }
-  StatusOr<BatchedProof> proof = CreateBatchedProof(*compiled, inputs_q, &g_interrupt);
-  if (!proof.ok()) {
-    std::fprintf(stderr, "batched prove failed: %s\n", proof.status().ToString().c_str());
-    return proof.status().code() == StatusCode::kCancelled ||
-                   proof.status().code() == StatusCode::kDeadlineExceeded
-               ? kExitInterrupted
-               : kExitUsage;
-  }
-  if (!WriteProofFileBytes(proof_path, EncodeBatchedProof(*proof), proof->instance)) {
-    std::fprintf(stderr, "cannot write %s\n", proof_path.c_str());
-    return kExitUsage;
-  }
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    out << BatchedReportJson(*compiled, *proof).DumpPretty() << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write run report %s\n", report_path.c_str());
-      return kExitUsage;
-    }
-    std::printf("batched run report -> %s\n", report_path.c_str());
-  }
-  std::printf("proved %d inferences of %s (seeds %llu..%llu) in one circuit in %.2fs "
-              "(%.2fs/inference, witness %.2fs): %zu artifact bytes -> %s\n",
-              batch, model.name.c_str(), static_cast<unsigned long long>(seed),
-              static_cast<unsigned long long>(seed + static_cast<uint64_t>(batch) - 1),
-              proof->prove_seconds, proof->prove_seconds / batch, proof->witness_seconds,
-              proof->ProofBytes(), proof_path.c_str());
-  return kExitOk;
-}
-
+// Prove: --shards=N cuts the model into N cost-balanced circuits proved
+// concurrently; --batch=N proves N inferences (seeds seed..seed+N-1) in one
+// circuit. The proof file's proof-bytes slot holds the plan's artifact and
+// the instance slot its statement, so `verify` works on every plan.
 int CmdProve(const std::string& model_path, const std::string& proof_path, uint64_t seed,
              PcsKind backend, const std::string& report_path, int shards, int batch) {
   Model model;
@@ -328,48 +231,57 @@ int CmdProve(const std::string& model_path, const std::string& proof_path, uint6
   if (!LoadModelOrReport(model_path, &model, &exit_code)) {
     return exit_code;
   }
-  if (batch > 1 && shards > 1) {
-    std::fprintf(stderr, "--shards and --batch are mutually exclusive; pick one\n");
+  const StatusOr<ProofPlan> plan = ResolveProofPlan(model, static_cast<size_t>(std::max(shards, 0)),
+                                                    static_cast<size_t>(std::max(batch, 0)));
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return kExitUsage;
   }
-  if (batch > 1) {
-    return CmdProveBatched(model, proof_path, seed, backend, report_path, batch);
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, *plan, CliOptions(backend));
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile failed: %s\n", compiled.status().ToString().c_str());
+    return kExitMalformedInput;
   }
-  if (shards > 1) {
-    return CmdProveSharded(model, proof_path, seed, backend, report_path, shards);
+  std::vector<Tensor<int64_t>> inputs_q;
+  for (size_t i = 0; i < plan->batch; ++i) {
+    inputs_q.push_back(QuantizeTensor(SyntheticInput(model, seed + i), model.quant));
   }
-  const CompiledModel compiled = CompileModel(model, CliOptions(backend));
-  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, seed), model.quant);
-  StatusOr<ZkmlProof> proof_or = ProveCancellable(compiled, input, &g_interrupt);
-  if (!proof_or.ok()) {
-    // Interrupted mid-proof: no proof file, but the partial run report (the
+  const auto write_report = [&](const PlanProof& proof) {
+    std::ofstream out(report_path);
+    out << PlanReportJson(*compiled, proof).DumpPretty() << "\n";
+    return static_cast<bool>(out);
+  };
+  StatusOr<PlanProof> proof = ProvePlan(*compiled, inputs_q, &g_interrupt);
+  if (!proof.ok()) {
+    std::fprintf(stderr, "prove failed: %s\n", proof.status().ToString().c_str());
+    if (proof.status().code() != StatusCode::kCancelled &&
+        proof.status().code() != StatusCode::kDeadlineExceeded) {
+      return kExitUsage;
+    }
+    // Interrupted mid-proof: no proof file, but the partial report (the
     // compile/layout half of the run) still lands if one was requested.
-    std::fprintf(stderr, "interrupted: %s\n", proof_or.status().ToString().c_str());
-    if (!report_path.empty()) {
-      const obs::RunReport report = BuildRunReport(compiled, ZkmlProof{}, 0.0, model.name);
-      if (Status s = report.WriteFile(report_path); s.ok()) {
-        std::printf("partial run report -> %s\n", report_path.c_str());
-      }
+    if (!report_path.empty() && write_report(PlanProof{})) {
+      std::printf("partial report -> %s\n", report_path.c_str());
     }
     return kExitInterrupted;
   }
-  const ZkmlProof proof = std::move(proof_or).value();
-  if (!WriteProofFile(proof_path, proof)) {
+  const std::vector<uint8_t> artifact = EncodePlanProof(proof->artifact);
+  if (!WriteProofFile(proof_path, artifact, proof->instance)) {
     std::fprintf(stderr, "cannot write %s\n", proof_path.c_str());
     return kExitUsage;
   }
   if (!report_path.empty()) {
-    const obs::RunReport report = BuildRunReport(compiled, proof);
-    if (Status s = report.WriteFile(report_path); !s.ok()) {
-      std::fprintf(stderr, "cannot write run report %s: %s\n", report_path.c_str(),
-                   s.ToString().c_str());
+    if (!write_report(*proof)) {
+      std::fprintf(stderr, "cannot write report %s\n", report_path.c_str());
       return kExitUsage;
     }
-    std::printf("run report -> %s\n", report_path.c_str());
+    std::printf("report -> %s\n", report_path.c_str());
   }
-  std::printf("proved %s on input seed %llu in %.2fs: %zu proof bytes -> %s\n",
-              model.name.c_str(), static_cast<unsigned long long>(seed), proof.prove_seconds,
-              proof.bytes.size(), proof_path.c_str());
+  std::printf("proved %s, plan %s, on input seed %llu in %.2fs (witness %.2fs): "
+              "%zu proof bytes -> %s\n",
+              model.name.c_str(), plan->ToString().c_str(),
+              static_cast<unsigned long long>(seed), proof->prove_seconds,
+              proof->witness_seconds, artifact.size(), proof_path.c_str());
   return kExitOk;
 }
 
@@ -567,65 +479,28 @@ int CmdVerify(const std::string& model_path, const std::string& proof_path, PcsK
     std::fprintf(stderr, "error reading %s: %s\n", proof_path.c_str(), s.ToString().c_str());
     return s.code() == StatusCode::kIoError ? kExitUsage : kExitMalformedInput;
   }
-  // Sharded artifacts ("ZKSH" magic) re-derive the partition from the shard
-  // count the artifact claims; a lying count fails the stitch check below.
-  if (LooksLikeShardedProof(proof)) {
-    StatusOr<DecodedShardedProof> decoded = DecodeShardedProof(proof);
-    if (!decoded.ok()) {
-      std::fprintf(stderr, "error decoding sharded artifact: %s\n",
-                   decoded.status().ToString().c_str());
-      return kExitMalformedInput;
-    }
-    StatusOr<CompiledShardedModel> compiled =
-        CompileSharded(model, decoded->shard_proofs.size(), CliOptions(backend));
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "sharded compile failed: %s\n", compiled.status().ToString().c_str());
-      return kExitMalformedInput;
-    }
-    const VerifyResult result = VerifySharded(*compiled, instance, proof);
-    if (result.ok()) {
-      std::printf("VALID (%zu shards, %s)\n", compiled->num_shards(),
-                  backend == PcsKind::kKzg ? "aggregated opening check"
-                                           : "per-shard opening checks");
-      return kExitOk;
-    }
+  // The artifact names its plan (bytes without the envelope magic are a
+  // plan {1,1} proof). The verifier recompiles that plan deterministically
+  // (same optimizer + setup seed), obtaining the verifying keys the prover
+  // used — no witness involved. A lying plan fails VerifyPlan's plan check.
+  const StatusOr<PlanArtifact> artifact = DecodePlanProof(proof);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "error decoding %s: %s\n", proof_path.c_str(),
+                 artifact.status().ToString().c_str());
+    return kExitMalformedInput;
+  }
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, artifact->plan, CliOptions(backend));
+  if (!compiled.ok()) {
+    std::fprintf(stderr, "compile failed: %s\n", compiled.status().ToString().c_str());
+    return kExitMalformedInput;
+  }
+  const VerifyResult result = VerifyPlan(*compiled, instance, *artifact);
+  if (!result.ok()) {
     std::printf("INVALID (%s)\n", result.ToString().c_str());
     return kExitInvalidProof;
   }
-  // Batched artifacts ("ZKBP" magic) re-derive the batch size from the
-  // artifact's per-inference segment count; a lying count fails the stitch
-  // check against the concatenated statement.
-  if (LooksLikeBatchedProof(proof)) {
-    StatusOr<DecodedBatchedProof> decoded = DecodeBatchedProof(proof);
-    if (!decoded.ok()) {
-      std::fprintf(stderr, "error decoding batched artifact: %s\n",
-                   decoded.status().ToString().c_str());
-      return kExitMalformedInput;
-    }
-    StatusOr<CompiledBatchedModel> compiled =
-        CompileBatched(model, decoded->instances.size(), CliOptions(backend));
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "batched compile failed: %s\n", compiled.status().ToString().c_str());
-      return kExitMalformedInput;
-    }
-    const VerifyResult result = VerifyBatchedDetailed(*compiled, instance, proof);
-    if (result.ok()) {
-      std::printf("VALID (%zu inferences, one proof)\n", compiled->batch());
-      return kExitOk;
-    }
-    std::printf("INVALID (%s)\n", result.ToString().c_str());
-    return kExitInvalidProof;
-  }
-  // The verifier recompiles deterministically (same optimizer + setup seed),
-  // obtaining the same verifying key the prover used — no witness involved.
-  const CompiledModel compiled = CompileModel(model, CliOptions(backend));
-  const VerifyResult result = VerifyDetailed(compiled.pk.vk, *compiled.pcs, instance, proof);
-  if (result.ok()) {
-    std::printf("VALID\n");
-    return kExitOk;
-  }
-  std::printf("INVALID (%s)\n", result.ToString().c_str());
-  return kExitInvalidProof;
+  std::printf("VALID (plan %s)\n", compiled->plan.ToString().c_str());
+  return kExitOk;
 }
 
 }  // namespace

@@ -13,11 +13,11 @@
 //                [--out=<file>] [--admin-port=N] [--require-server-match]
 //
 // --shards=N (>1) asks the daemon for sharded proving: the response then
-// carries a zkml.sharded_proof/v1 artifact and reports the shard count the
-// server actually used after clamping to what the model's graph admits.
+// carries a zkml.proof/v2 artifact of plan {N,1} and reports the shard count
+// the server actually used after clamping to what the model's graph admits.
 // --batch=N (>1) asks for batched multi-inference proving: each job proves N
-// inferences in one circuit and answers with a zkml.batched_proof/v1
-// artifact; throughput is reported both as proofs/sec and inferences/sec.
+// inferences in one circuit and answers with a zkml.proof/v2 artifact of plan
+// {1,N}; throughput is reported both as proofs/sec and inferences/sec.
 //
 // Open-loop latencies are measured from each request's slot on the absolute
 // send schedule (not from the moment the sender finally fired), so a

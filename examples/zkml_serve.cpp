@@ -35,8 +35,11 @@ namespace {
 volatile std::sig_atomic_t g_signal_count = 0;
 
 void OnSignal(int) {
-  ++g_signal_count;
-  if (g_signal_count > 1) {
+  // A plain read then store: C++20 deprecates ++ on a volatile, and both
+  // accesses stay async-signal-safe on a sig_atomic_t.
+  const std::sig_atomic_t seen = g_signal_count;
+  g_signal_count = seen + 1;
+  if (seen > 0) {
     std::_Exit(1);  // second signal: the operator wants out now
   }
 }

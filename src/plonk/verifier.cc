@@ -33,14 +33,10 @@ const char* VerifyStageName(VerifyStage stage) {
       return "pcs-opening";
     case VerifyStage::kTrailingBytes:
       return "trailing-bytes";
-    case VerifyStage::kShardStitch:
-      return "shard-stitch";
-    case VerifyStage::kShardAggregate:
-      return "shard-aggregate";
-    case VerifyStage::kBatchStitch:
-      return "batch-stitch";
-    case VerifyStage::kBatchAggregate:
-      return "batch-aggregate";
+    case VerifyStage::kStitch:
+      return "stitch";
+    case VerifyStage::kAggregate:
+      return "aggregate";
   }
   return "unknown";
 }

@@ -33,13 +33,11 @@ enum class VerifyStage {
   kVanishingCheck,          // the reconstructed quotient identity at x
   kPcsOpening,              // a PCS batch-opening check
   kTrailingBytes,           // proof not fully consumed
-  // Sharded-verification stages (src/zkml/sharded.h): the composite verifier
-  // reuses VerifyResult so rejections stay stage-attributed end to end.
-  kShardStitch,             // boundary activations disagree with the statement
-  kShardAggregate,          // the combined batched-KZG pairing check
-  // Batched multi-inference stages (src/zkml/batched.h).
-  kBatchStitch,             // a per-inference segment disagrees with the statement
-  kBatchAggregate,          // the cross-proof RLC pairing check
+  // Multi-circuit stages (VerifyPlan and VerifyProofsBatched in
+  // src/zkml/plan.h) reuse VerifyResult so rejections stay stage-attributed
+  // end to end.
+  kStitch,     // the artifact's plan, boundaries or segments disagree with the key or statement
+  kAggregate,  // the deferred KZG opening check across every circuit or proof
 };
 
 const char* VerifyStageName(VerifyStage stage);

@@ -12,8 +12,7 @@
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/quantizer.h"
-#include "src/zkml/batched.h"
-#include "src/zkml/sharded.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 namespace serve {
@@ -773,58 +772,26 @@ void ZkmlServer::WorkerLoop(int worker_index) {
 
 namespace {
 
-// Which zkml API proves a plan, and so which artifact its members receive.
-enum class ArtifactKind {
-  kPlonk,    // one circuit, one inference: raw plonk proof bytes
-  kBatched,  // one circuit, `batch` inferences: zkml.batched_proof/v1 ("ZKBP")
-  kSharded,  // `shards` circuits, one inference: zkml.sharded_proof/v1 ("ZKSH")
-};
-
-// How a group's inferences are laid out over circuits, the compiled-circuit
-// cache key of each circuit, and the artifact that comes back.
-struct Plan {
-  size_t shards = 1;
-  size_t batch = 1;
-  ArtifactKind artifact = ArtifactKind::kPlonk;
-  std::vector<std::string> keys;
-};
-
 // Inferences one request asks for: its batch, or one when unbatched.
 size_t InferencesOf(const ProveRequest& req) { return std::max<size_t>(1, req.batch); }
 
-// Resolves the plan proving `batch` inferences of `model` for a group led by
-// `req`: the lone request's own batch, or one inference per coalesced member
-// (a coalesced group is a plan whose batch was widened). Null with *err
-// filled when the request asks for both sharded and batched proving.
-std::optional<Plan> ResolvePlan(const Model& model, const ProveRequest& req, size_t batch,
-                                WireError* err) {
-  if (req.batch > 1 && req.shards > 1) {
-    *err = {WireErrorCode::kMalformedRequest, WireStage::kModelParse,
-            "request asks for both sharded (" + std::to_string(req.shards) + ") and batched (" +
-                std::to_string(req.batch) + ") proving; pick one"};
-    return std::nullopt;
-  }
-  Plan plan;
-  plan.batch = batch;
-  // A model whose graph admits no cut falls back to one circuit; shards = 1
-  // in the response tells the client what actually ran.
-  plan.shards = req.shards > 1 ? ResolveShardCount(model, req.shards) : 1;
-  // Each circuit caches next to the model's other compilations.
+// The compiled-circuit cache key of each circuit of `plan`: each caches next
+// to the model's other compilations.
+std::vector<std::string> CacheKeys(const ProveRequest& req, const ProofPlan& plan) {
   const std::string hash = ModelHashHex(req.model_text);
   const std::string backend = req.backend == 1 ? ":ipa" : ":kzg";
+  std::vector<std::string> keys;
   if (plan.shards > 1) {
-    plan.artifact = ArtifactKind::kSharded;
     for (size_t i = 0; i < plan.shards; ++i) {
-      plan.keys.push_back(hash + ":shard" + std::to_string(i) + "/" +
-                          std::to_string(plan.shards) + backend);
+      keys.push_back(hash + ":shard" + std::to_string(i) + "/" + std::to_string(plan.shards) +
+                     backend);
     }
   } else if (plan.batch > 1) {
-    plan.artifact = ArtifactKind::kBatched;
-    plan.keys.push_back(hash + ":batch" + std::to_string(plan.batch) + backend);
+    keys.push_back(hash + ":batch" + std::to_string(plan.batch) + backend);
   } else {
-    plan.keys.push_back(hash + backend);
+    keys.push_back(hash + backend);
   }
-  return plan;
+  return keys;
 }
 
 }  // namespace
@@ -947,14 +914,20 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
     live = std::move(fed);
     if (live.empty()) return;
 
-    WireError reject;
-    const std::optional<Plan> plan = ResolvePlan(*model, live.front()->request, batch, &reject);
-    if (!plan) {
-      for (const auto& job : live) fail(*job, reject);
+    // The plan proving the group's inferences: the lone request's own batch,
+    // or one inference per coalesced member (a coalesced group is a plan
+    // whose batch was widened). A model whose graph admits no cut falls back
+    // to one circuit; shards = 1 in the response tells the client what ran.
+    Job& lead = *live.front();
+    const StatusOr<ProofPlan> plan = ResolveProofPlan(*model, lead.request.shards, batch);
+    if (!plan.ok()) {
+      for (const auto& job : live) {
+        fail(*job, {WireErrorCode::kMalformedRequest, WireStage::kModelParse,
+                    plan.status().message()});
+      }
       return;
     }
     // Per-shard progress for /statusz (a sharded plan has one member).
-    Job& lead = *live.front();
     if (plan->shards > 1) lead.shards_total.store(static_cast<uint32_t>(plan->shards));
     // The shared compile and proof run under the group's earliest deadline
     // (WorkerLoop makes it the lead's): that token expires, and is reaped by
@@ -972,36 +945,29 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
     zo.optimizer.min_columns = options_.optimizer_min_columns;
     zo.optimizer.max_columns = options_.optimizer_max_columns;
     zo.optimizer.max_k = options_.optimizer_max_k;
-    ModelPartition partition;
+    CompiledPlan compiled{*model, *plan};
     bool cache_hit = true;
-    // Builds circuit i on a cache miss: the batched circuit, the model, or shard i.
-    const auto compile = [&](size_t i) -> StatusOr<std::shared_ptr<const CompiledModel>> {
-      cache_hit = false;
-      if (plan->artifact == ArtifactKind::kBatched) {
-        ZKML_ASSIGN_OR_RETURN(CompiledBatchedModel cb, CompileBatched(*model, plan->batch, zo));
-        return std::make_shared<const CompiledModel>(std::move(cb.compiled));
-      }
-      const bool sharded = plan->artifact == ArtifactKind::kSharded;
-      return std::make_shared<const CompiledModel>(
-          CompileModel(sharded ? partition.shards[i].model : *model, zo));
-    };
-    std::vector<std::shared_ptr<const CompiledModel>> circuits(plan->keys.size());
-    const Status compiled = [&]() -> Status {
+    const Status compile_status = [&]() -> Status {
       obs::Span span("serve.compile");
-      if (plan->artifact == ArtifactKind::kSharded) {
-        ZKML_ASSIGN_OR_RETURN(partition, PartitionModel(*model, plan->shards));
+      if (plan->shards > 1) {
+        ZKML_ASSIGN_OR_RETURN(compiled.partition, PartitionModel(*model, plan->shards));
       }
-      for (size_t i = 0; i < circuits.size(); ++i) {
-        ZKML_ASSIGN_OR_RETURN(circuits[i],
-                              cache_.GetOrCompile(plan->keys[i], [&] { return compile(i); }));
+      const std::vector<std::string> keys = CacheKeys(lead.request, *plan);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ZKML_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledModel> circuit,
+                              cache_.GetOrCompile(keys[i], [&] {
+                                cache_hit = false;
+                                return CompileCircuit(compiled.CircuitModel(i), plan->batch, zo);
+                              }));
+        compiled.circuits.push_back(std::move(circuit));
         ZKML_RETURN_IF_ERROR(cancel.Check("compile"));
       }
       return Status::Ok();
     }();
-    const double compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
-    counters_->stage_compile->Record(compile_seconds);
-    if (!compiled.ok()) {
-      for (const auto& job : live) fail_status(*job, compiled, WireStage::kCompile);
+    compiled.compile_seconds = SecondsBetween(compile_start, SteadyClock::now());
+    counters_->stage_compile->Record(compiled.compile_seconds);
+    if (!compile_status.ok()) {
+      for (const auto& job : live) fail_status(*job, compile_status, WireStage::kCompile);
       return;
     }
 
@@ -1025,51 +991,13 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
     }
     counters_->stage_witness->Record(SecondsBetween(witness_start, SteadyClock::now()));
 
-    // Plans differ only in the prove call, artifact encoding, and job report.
     set_stage(WireStage::kProve);
     const auto prove_start = SteadyClock::now();
-    const bool want_report = !options_.report_dir.empty();
-    std::vector<uint8_t> artifact;
-    std::vector<Fr> instance;
-    std::vector<Tensor<int64_t>> outputs;  // one per inference, in member order
-    obs::Json report;
-    const Status proved = [&]() -> Status {
+    StatusOr<PlanProof> proof = [&] {
       obs::Span span("serve.prove");
-      switch (plan->artifact) {
-        case ArtifactKind::kPlonk: {
-          ZKML_ASSIGN_OR_RETURN(ZkmlProof proof,
-                                ProveCancellable(*circuits[0], inputs[0], &cancel));
-          if (want_report) report = BuildRunReport(*circuits[0], proof, 0.0, model->name).ToJson();
-          artifact = std::move(proof.bytes);
-          instance = std::move(proof.instance);
-          outputs.push_back(std::move(proof.output_q));
-          break;
-        }
-        case ArtifactKind::kBatched: {
-          ZKML_ASSIGN_OR_RETURN(BatchedProof proof,
-                                CreateBatchedProof(*circuits[0], inputs, &cancel));
-          if (want_report) report = BatchedReportJson(*circuits[0], proof);
-          artifact = EncodeBatchedProof(proof);
-          instance = std::move(proof.instance);
-          outputs = std::move(proof.outputs_q);
-          break;
-        }
-        case ArtifactKind::kSharded: {
-          const CompiledShardedModel sharded{*model, std::move(partition), circuits, zo.backend,
-                                             compile_seconds};
-          ZKML_ASSIGN_OR_RETURN(
-              ShardedProof proof,
-              CreateShardedProof(sharded, inputs[0], &cancel, [&](size_t done, size_t) {
-                lead.shards_done.store(static_cast<uint32_t>(done), std::memory_order_relaxed);
-              }));
-          if (want_report) report = ShardedReportJson(sharded, proof);
-          artifact = EncodeShardedProof(proof);
-          instance = std::move(proof.instance);
-          outputs.push_back(std::move(proof.output_q));
-          break;
-        }
-      }
-      return Status::Ok();
+      return ProvePlan(compiled, inputs, &cancel, [&](size_t done, size_t) {
+        lead.shards_done.store(static_cast<uint32_t>(done), std::memory_order_relaxed);
+      });
     }();
     const double prove_seconds = SecondsBetween(prove_start, SteadyClock::now());
     counters_->stage_prove->Record(prove_seconds);
@@ -1083,12 +1011,13 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
                      kStageSecondsBuckets)
           .Record(prove_seconds);
     }
-    if (!proved.ok()) {
-      for (const auto& job : live) fail_status(*job, proved, WireStage::kProve);
+    if (!proof.ok()) {
+      for (const auto& job : live) fail_status(*job, proof.status(), WireStage::kProve);
       return;
     }
 
-    if (want_report) {
+    if (!options_.report_dir.empty()) {
+      obs::Json report = PlanReportJson(compiled, *proof);
       if (live.size() > 1) report.Set("coalesced", static_cast<uint64_t>(live.size()));
       // Report I/O must never fail a proved job.
       std::ofstream out(options_.report_dir + "/job_" + std::to_string(lead.id) + ".json");
@@ -1099,13 +1028,14 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
     // are needed to verify), plus the outputs of its own inferences.
     set_stage(WireStage::kRespond);
     const auto finished = SteadyClock::now();
+    const std::vector<uint8_t> artifact = EncodePlanProof(proof->artifact);
     size_t next = 0;
     for (const auto& job : live) {
       ProveResponse& resp = job->response;
       resp.proof = artifact;
-      resp.instance = instance;
+      resp.instance = proof->instance;
       for (const size_t end = next + InferencesOf(job->request); next < end; ++next) {
-        const std::vector<int64_t> out = outputs[next].ToVector();
+        const std::vector<int64_t> out = proof->outputs_q[next].ToVector();
         resp.output.insert(resp.output.end(), out.begin(), out.end());
       }
       resp.queue_micros = MicrosBetween(job->enqueued, started);

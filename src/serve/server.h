@@ -68,8 +68,8 @@ struct ServeOptions {
   // Request coalescing: a worker that dequeues a single-inference job may
   // also claim up to coalesce_max - 1 compatible queued jobs (same model,
   // same backend, unsharded, deadline no earlier than its own) and prove them
-  // all in ONE batched circuit; each client gets the shared
-  // zkml.batched_proof/v1 artifact plus its own output. 1 disables (the
+  // all in ONE batched circuit; each client gets the shared zkml.proof/v2
+  // artifact (plan {1,N}) plus its own output. 1 disables (the
   // default — coalescing trades per-job latency for aggregate throughput, an
   // operator decision).
   size_t coalesce_max = 1;

@@ -133,12 +133,11 @@ struct ProveResponse {
   uint64_t queue_micros = 0;         // time spent waiting for a worker
   uint64_t prove_micros = 0;         // witness + proof construction
   uint8_t cache_hit = 0;             // compiled-circuit cache hit
-  // Shard count actually proved (after clamping): <=1 means `proof` is a
-  // single-circuit proof, >1 a zkml.sharded_proof/v1 artifact.
+  // The plan actually proved, {shards, batch} (shards after clamping). `proof`
+  // is its zkml.proof/v2 artifact (src/zkml/plan.h): raw plonk bytes for
+  // {1,1}. With batch > 1, `instance`/`output` concatenate the per-inference
+  // statements/outputs in order.
   uint32_t shards = 0;
-  // Batch size actually proved: <=1 means one inference; >1 means `proof` is
-  // a zkml.batched_proof/v1 artifact and `instance`/`output` concatenate the
-  // per-inference statements/outputs in order.
   uint32_t batch = 0;
 };
 

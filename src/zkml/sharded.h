@@ -1,106 +1,24 @@
-// Sharded proving: the model DAG is cut at layer boundaries into k
-// sub-circuits (src/compiler/partition.h), each proved concurrently on the
-// ThreadPool, with the boundary activations carried as instance values that
-// stitch adjacent shards together. Shard i's public statement is
-// [boundary_i ‖ boundary_{i+1}]; the artifact stores each boundary vector
-// exactly once, so adjacent shards cannot disagree about the activation they
-// share. Under KZG the per-shard pairing checks are deferred and discharged
-// by one random-linear-combination check (KzgAccumulator), so composite
-// verification costs a single batched pairing instead of k.
+// Sharded-proving names from before src/zkml/plan.h, kept as forwards onto
+// the plan path for callers written against them (perfbench/bench.cc).
 #ifndef SRC_ZKML_SHARDED_H_
 #define SRC_ZKML_SHARDED_H_
 
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "src/base/cancel.h"
-#include "src/base/status.h"
-#include "src/compiler/partition.h"
-#include "src/obs/json.h"
-#include "src/zkml/zkml.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 
-// Schema name shared by the binary artifact ("ZKSH" magic) and the JSON
-// report document emitted for telemetry.
-inline constexpr const char* kShardedProofSchema = "zkml.sharded_proof/v1";
-inline constexpr uint32_t kShardedProofVersion = 1;
+using CompiledShardedModel = CompiledPlan;
 
-// A partitioned model with every shard compiled (layout + keys). Shards are
-// held by shared_ptr so a serving cache can share per-shard compilations
-// across sharded jobs.
-struct CompiledShardedModel {
-  Model model;  // the parent model
-  ModelPartition partition;
-  std::vector<std::shared_ptr<const CompiledModel>> shards;
-  PcsKind backend = PcsKind::kKzg;
-  double compile_seconds = 0;
+// `num_shards` as ResolveShardCount reads it: 0 means one per hardware thread.
+inline StatusOr<CompiledPlan> CompileSharded(const Model& model, size_t num_shards,
+                                             const ZkmlOptions& options = {}) {
+  return CompilePlan(model, {ResolveShardCount(model, num_shards), 1}, options);
+}
 
-  size_t num_shards() const { return shards.size(); }
-};
-
-// Shard count actually used for `requested`: 0 means auto (one shard per
-// hardware thread), and any request is clamped to [1, MaxShards(model)].
-size_t ResolveShardCount(const Model& model, size_t requested);
-
-// Partitions the model (cost-model balanced cuts) and compiles every shard
-// concurrently. `num_shards` is resolved via ResolveShardCount.
-StatusOr<CompiledShardedModel> CompileSharded(const Model& model, size_t num_shards,
-                                              const ZkmlOptions& options = {});
-
-struct ShardedProof {
-  // k+1 boundary activations as field elements: [0] is the model input,
-  // [k] the model output, interior entries the stitched activations.
-  std::vector<std::vector<Fr>> boundaries;
-  std::vector<std::vector<uint8_t>> shard_proofs;
-  // Composite public statement: boundaries.front() ‖ boundaries.back().
-  std::vector<Fr> instance;
-  Tensor<int64_t> output_q;
-  double witness_seconds = 0;  // boundary-activation chain (sequential, cheap)
-  double prove_seconds = 0;    // wall clock of the parallel prove phase
-  std::vector<double> shard_prove_seconds;
-
-  size_t ProofBytes() const;
-};
-
-// Invoked (possibly from pool threads) each time a shard's proof completes.
-using ShardProgressFn = std::function<void(size_t shards_done, size_t shards_total)>;
-
-// Chains the quantized executor through the shards to fix every boundary
-// activation, then proves all shards concurrently on the global ThreadPool.
-StatusOr<ShardedProof> CreateShardedProof(const CompiledShardedModel& compiled,
-                                          const Tensor<int64_t>& input_q,
-                                          const CancelToken* cancel = nullptr,
-                                          const ShardProgressFn& progress = nullptr);
-
-// --- zkml.sharded_proof/v1 binary artifact ---
-//   "ZKSH" | u32 version | u32 k | (k+1) x (u32 len, len Fr) | k x (u32 len, bytes)
-std::vector<uint8_t> EncodeShardedProof(const ShardedProof& proof);
-// True when `bytes` starts with the sharded-artifact magic (format sniffing
-// for readers that accept both single proofs and sharded artifacts).
-bool LooksLikeShardedProof(const std::vector<uint8_t>& bytes);
-
-struct DecodedShardedProof {
-  std::vector<std::vector<Fr>> boundaries;
-  std::vector<std::vector<uint8_t>> shard_proofs;
-};
-StatusOr<DecodedShardedProof> DecodeShardedProof(const std::vector<uint8_t>& bytes);
-
-// Verifies a sharded artifact against the composite statement (input values
-// then output values, exactly as the single-circuit verifier sees them).
-// Checks the artifact's outer boundaries against the statement, verifies each
-// shard against its stitched [b_i ‖ b_{i+1}] instance, and — under KZG —
-// defers every shard's opening into one aggregate RLC pairing check.
-// Rejections are stage-attributed; shard-local failures carry a "shard i:"
-// message prefix.
-VerifyResult VerifySharded(const CompiledShardedModel& compiled,
-                           const std::vector<Fr>& instance,
-                           const std::vector<uint8_t>& artifact);
-
-// The JSON report document (schema kShardedProofSchema) for telemetry.
-obs::Json ShardedReportJson(const CompiledShardedModel& compiled, const ShardedProof& proof,
-                            double verify_seconds = 0.0);
+inline VerifyResult VerifySharded(const CompiledPlan& compiled, const std::vector<Fr>& instance,
+                                  const std::vector<uint8_t>& artifact) {
+  return VerifyPlan(compiled, instance, artifact);
+}
 
 }  // namespace zkml
 

@@ -81,7 +81,7 @@ StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
   if (compiled.layout.batch > 1) {
     return InvalidArgumentError("model was compiled for batch size " +
                                 std::to_string(compiled.layout.batch) +
-                                "; use CreateBatchedProof");
+                                "; use ProvePlan");
   }
   ZKML_RETURN_IF_ERROR(CheckCancel(cancel, "witness-gen"));
   Timer witness_timer;

@@ -15,9 +15,7 @@
 #include "src/model/zoo.h"
 #include "src/serve/client.h"
 #include "src/serve/server.h"
-#include "src/zkml/batched.h"
-#include "src/zkml/sharded.h"
-#include "src/zkml/zkml.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 namespace serve {
@@ -393,7 +391,7 @@ TEST(ServeTest, ShardedProveReturnsVerifiableArtifact) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(first->ok) << first->error.ToString();
   EXPECT_EQ(first->response.shards, 2u);
-  EXPECT_TRUE(LooksLikeShardedProof(first->response.proof));
+  EXPECT_EQ(DecodePlanProof(first->response.proof)->plan.shards, 2u);
   EXPECT_EQ(first->response.output, RunQuantized(model, input).ToVector());
 
   // The artifact verifies against independently compiled shard keys, with the
@@ -403,10 +401,10 @@ TEST(ServeTest, ShardedProveReturnsVerifiableArtifact) {
   zo.optimizer.min_columns = 10;
   zo.optimizer.max_columns = 26;
   zo.optimizer.max_k = 14;
-  const StatusOr<CompiledShardedModel> compiled = CompileSharded(model, 2, zo);
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, {2, 1}, zo);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const VerifyResult r =
-      VerifySharded(*compiled, first->response.instance, first->response.proof);
+      VerifyPlan(*compiled, first->response.instance, first->response.proof);
   EXPECT_TRUE(r.ok()) << r.ToString();
 
   // Re-proving the same sharded request hits the per-shard compile cache.
@@ -420,7 +418,8 @@ TEST(ServeTest, ShardedProveReturnsVerifiableArtifact) {
   StatusOr<ZkmlClient::ProveOutcome> single = client.Prove(req, 3, kProveWaitMs);
   ASSERT_TRUE(single.ok() && single->ok);
   EXPECT_EQ(single->response.shards, 1u);
-  EXPECT_FALSE(LooksLikeShardedProof(single->response.proof));
+  // ...and its proof is raw plonk bytes, not an envelope.
+  EXPECT_EQ(DecodePlanProof(single->response.proof)->plan, (ProofPlan{1, 1}));
   server.Stop();
 }
 
@@ -466,7 +465,7 @@ TEST(ServeTest, BatchedProveReturnsVerifiableArtifact) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(r->ok) << r->error.ToString();
   EXPECT_EQ(r->response.batch, 2u);
-  EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+  EXPECT_EQ(DecodePlanProof(r->response.proof)->plan.batch, 2u);
 
   // The output is the concatenation of both inferences' reference runs
   // (synthetic inputs from seed and seed+1).
@@ -485,10 +484,9 @@ TEST(ServeTest, BatchedProveReturnsVerifiableArtifact) {
   zo.optimizer.min_columns = 10;
   zo.optimizer.max_columns = 26;
   zo.optimizer.max_k = 14;
-  const StatusOr<CompiledBatchedModel> compiled = CompileBatched(model, 2, zo);
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, {1, 2}, zo);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const VerifyResult v =
-      VerifyBatchedDetailed(*compiled, r->response.instance, r->response.proof);
+  const VerifyResult v = VerifyPlan(*compiled, r->response.instance, r->response.proof);
   EXPECT_TRUE(v.ok()) << v.ToString();
 
   // Asking for sharded AND batched proving in one request is rejected.
@@ -555,7 +553,7 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->ok) << r->error.ToString();
     EXPECT_EQ(r->response.batch, 3u) << "job " << i << " was not coalesced";
-    EXPECT_TRUE(LooksLikeBatchedProof(r->response.proof));
+    EXPECT_EQ(DecodePlanProof(r->response.proof)->plan.batch, 3u);
     EXPECT_EQ(r->response.output,
               RunQuantized(model, inputs[static_cast<size_t>(i)]).ToVector())
         << "job " << i << " got another member's output";
@@ -569,10 +567,10 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
   zo.optimizer.min_columns = 10;
   zo.optimizer.max_columns = 26;
   zo.optimizer.max_k = 14;
-  const StatusOr<CompiledBatchedModel> compiled = CompileBatched(model, 3, zo);
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, {1, 3}, zo);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const VerifyResult v = VerifyBatchedDetailed(*compiled, results[0]->response.instance,
-                                               results[0]->response.proof);
+  const VerifyResult v =
+      VerifyPlan(*compiled, results[0]->response.instance, results[0]->response.proof);
   EXPECT_TRUE(v.ok()) << v.ToString();
 
   ASSERT_TRUE(results[3].ok()) << results[3].status().ToString();
@@ -660,7 +658,7 @@ TEST(ServeTest, CoalescedMemberPastItsDeadlineFailsAloneWhileTheGroupProves) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     ASSERT_TRUE(results[i]->ok) << results[i]->error.ToString();
     EXPECT_EQ(results[i]->response.batch, 2u);
-    EXPECT_TRUE(LooksLikeBatchedProof(results[i]->response.proof));
+    EXPECT_EQ(DecodePlanProof(results[i]->response.proof)->plan.batch, 2u);
   }
   EXPECT_EQ(results[0]->response.proof, results[2]->response.proof);
   EXPECT_EQ(server.stats().jobs_deadline_exceeded, 1u);

@@ -16,9 +16,7 @@
 #include "src/plonk/mock_prover.h"
 #include "src/plonk/soundness.h"
 #include "src/tensor/quantizer.h"
-#include "src/zkml/batched.h"
-#include "src/zkml/sharded.h"
-#include "src/zkml/zkml.h"
+#include "src/zkml/plan.h"
 #include "tests/golden_circuit.h"
 
 namespace zkml {
@@ -514,22 +512,21 @@ class ShardedForgeryTest : public ::testing::TestWithParam<PcsKind> {};
 
 TEST_P(ShardedForgeryTest, MutatedBoundaryActivationRejected) {
   const Model model = TinyChainModel();
-  const StatusOr<CompiledShardedModel> compiled =
-      CompileSharded(model, 2, FastShardedOptions(GetParam()));
+  const StatusOr<CompiledPlan> compiled =
+      CompilePlan(model, {2, 1}, FastShardedOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 11), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlanProof> proof = ProvePlan(*compiled, {input});
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
-  ASSERT_TRUE(VerifySharded(*compiled, proof->instance, EncodeShardedProof(*proof)).ok());
+  ASSERT_TRUE(VerifyPlan(*compiled, proof->instance, EncodePlanProof(proof->artifact)).ok());
 
   // Forge the interior boundary: the activation shard 0 claims to hand to
   // shard 1. Both shards read the same stored vector, so the lie must be
   // caught by a shard's own instance check — with the culprit named.
-  ShardedProof forged = *proof;
-  ASSERT_EQ(forged.boundaries.size(), 3u);
-  forged.boundaries[1][0] += Fr::One();
-  const VerifyResult r =
-      VerifySharded(*compiled, forged.instance, EncodeShardedProof(forged));
+  PlanArtifact forged = proof->artifact;
+  ASSERT_EQ(forged.vectors.size(), 3u);
+  forged.vectors[1][0] += Fr::One();
+  const VerifyResult r = VerifyPlan(*compiled, proof->instance, EncodePlanProof(forged));
   ASSERT_FALSE(r.ok()) << "forged boundary activation accepted";
   EXPECT_NE(r.stage, VerifyStage::kAccepted);
   EXPECT_NE(r.ToString().find("shard"), std::string::npos) << r.ToString();
@@ -537,21 +534,20 @@ TEST_P(ShardedForgeryTest, MutatedBoundaryActivationRejected) {
 
 TEST_P(ShardedForgeryTest, MutatedOuterBoundaryRejectedAtStitchStage) {
   const Model model = TinyChainModel();
-  const StatusOr<CompiledShardedModel> compiled =
-      CompileSharded(model, 2, FastShardedOptions(GetParam()));
+  const StatusOr<CompiledPlan> compiled =
+      CompilePlan(model, {2, 1}, FastShardedOptions(GetParam()));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 19), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlanProof> proof = ProvePlan(*compiled, {input});
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
   // Forge the artifact's copy of the model input while keeping the claimed
   // statement honest: the outer-boundary consistency check fires first.
-  ShardedProof forged = *proof;
-  forged.boundaries.front()[0] += Fr::One();
-  const VerifyResult r =
-      VerifySharded(*compiled, proof->instance, EncodeShardedProof(forged));
+  PlanArtifact forged = proof->artifact;
+  forged.vectors.front()[0] += Fr::One();
+  const VerifyResult r = VerifyPlan(*compiled, proof->instance, EncodePlanProof(forged));
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.stage, VerifyStage::kShardStitch) << r.ToString();
+  EXPECT_EQ(r.stage, VerifyStage::kStitch) << r.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ShardedForgeryTest,
@@ -621,7 +617,7 @@ TEST(CrossProofForgeryTest, OneForgedProofOfEightBlamedByIndex) {
   }
   const CrossProofVerdict verdict = VerifyProofsBatched(claims);
   ASSERT_FALSE(verdict.ok()) << "forged proof accepted in the batch";
-  EXPECT_EQ(verdict.stage, VerifyStage::kBatchAggregate) << verdict.status.ToString();
+  EXPECT_EQ(verdict.stage, VerifyStage::kAggregate) << verdict.status.ToString();
   ASSERT_EQ(verdict.blamed.size(), 1u);
   EXPECT_EQ(verdict.blamed[0], kForged);
 }
@@ -699,21 +695,21 @@ TEST(ShardedForgeryTest2, KzgForgedOpeningCaughtOnlyByAggregateCheck) {
   // is deferred — so only the aggregate RLC pairing check can catch it. This
   // pins down that the deferred path really gates acceptance.
   const Model model = TinyChainModel();
-  const StatusOr<CompiledShardedModel> compiled =
-      CompileSharded(model, 2, FastShardedOptions(PcsKind::kKzg));
+  const StatusOr<CompiledPlan> compiled =
+      CompilePlan(model, {2, 1}, FastShardedOptions(PcsKind::kKzg));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 23), model.quant);
-  const StatusOr<ShardedProof> proof = CreateShardedProof(*compiled, input);
+  const StatusOr<PlanProof> proof = ProvePlan(*compiled, {input});
   ASSERT_TRUE(proof.ok()) << proof.status().ToString();
 
-  ShardedProof forged = *proof;
-  std::vector<uint8_t>& pb = forged.shard_proofs[0];
+  PlanArtifact forged = proof->artifact;
+  std::vector<uint8_t>& pb = forged.proofs[0];
   ASSERT_GE(pb.size(), 33u);
   pb[pb.size() - 33] ^= 0x01;  // compressed G1 prefix: y -> -y
-  const VerifyResult r =
-      VerifySharded(*compiled, forged.instance, EncodeShardedProof(forged));
+  const VerifyResult r = VerifyPlan(*compiled, proof->instance, EncodePlanProof(forged));
   ASSERT_FALSE(r.ok()) << "negated KZG witness point accepted";
-  EXPECT_EQ(r.stage, VerifyStage::kShardAggregate) << r.ToString();
+  EXPECT_EQ(r.stage, VerifyStage::kAggregate) << r.ToString();
+  EXPECT_NE(r.ToString().find("shard 0/2"), std::string::npos) << r.ToString();
 }
 
 }  // namespace
