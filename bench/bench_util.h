@@ -11,23 +11,22 @@
 #include <string>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/timer.h"
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
-#include "src/zkml/zkml.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 
-// When ZKML_TELEMETRY_DIR is set, every MeasureEndToEnd call drops a
-// machine-readable run report (schema zkml.run_report/v1) named
+// When ZKML_TELEMETRY_DIR is set, every MeasureEndToEnd call drops its
+// machine-readable run report (schema zkml.run_report/v2) named
 // <dir>/run_<model>_<backend>.json next to the printed table.
-inline void MaybeWriteRunReport(const CompiledModel& compiled, const ZkmlProof& proof,
-                                double verify_seconds) {
+inline void MaybeWriteRunReport(const obs::RunReport& report) {
   const char* dir = std::getenv("ZKML_TELEMETRY_DIR");
   if (dir == nullptr || dir[0] == '\0') {
     return;
   }
-  const obs::RunReport report = BuildRunReport(compiled, proof, verify_seconds);
   std::string name = report.model;
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) {
@@ -50,27 +49,30 @@ struct E2eMeasurement {
   int k = 0;
 };
 
-// Compile -> prove -> verify one model and collect the Table 6/7 row.
+// Compile -> prove -> verify one model as plan {1,1} and collect the Table 6/7
+// row.
 inline E2eMeasurement MeasureEndToEnd(const Model& model, const ZkmlOptions& options,
                                       uint64_t input_seed = 7) {
   E2eMeasurement m;
   m.model = model.name;
-  CompiledModel compiled = CompileModel(model, options);
-  m.columns = compiled.layout.num_columns;
-  m.k = compiled.layout.k;
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, {}, options);
+  ZKML_CHECK_MSG(compiled.ok(), compiled.status().ToString().c_str());
+  m.columns = compiled->circuits[0]->layout.num_columns;
+  m.k = compiled->circuits[0]->layout.k;
   const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, input_seed), model.quant);
-  ZkmlProof proof = Prove(compiled, input);
-  m.prove_seconds = proof.prove_seconds;
-  m.proof_bytes = proof.bytes.size();
+  const StatusOr<PlanProof> proof = ProvePlan(*compiled, {input});
+  ZKML_CHECK_MSG(proof.ok(), proof.status().ToString().c_str());
+  m.prove_seconds = proof->prove_seconds;
+  m.proof_bytes = EncodePlanProof(proof->artifact).size();
   std::printf("%s prover stages:\n%s", model.name.c_str(),
-              proof.prover_metrics.Summary().c_str());
+              proof->prover_metrics.Summary().c_str());
   Timer verify_timer;
-  const bool ok = Verify(compiled, proof);
+  const bool ok = VerifyPlan(*compiled, proof->instance, proof->artifact).ok();
   m.verify_seconds = verify_timer.ElapsedSeconds();
   if (!ok) {
     std::fprintf(stderr, "!! verification failed for %s\n", model.name.c_str());
   }
-  MaybeWriteRunReport(compiled, proof, m.verify_seconds);
+  MaybeWriteRunReport(BuildRunReport(*compiled, *proof, m.verify_seconds));
   return m;
 }
 

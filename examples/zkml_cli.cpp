@@ -17,8 +17,8 @@
 // Global telemetry flags (may appear anywhere on the command line):
 //   --trace=<file>    write a Chrome/Perfetto trace of the whole command
 //   --metrics=<file>  write the metrics registry (schema zkml.metrics/v1)
-//   --report=<file>   prove: the plan's report (zkml.run_report/v1, or
-//                     zkml.sharded_proof/v1 / zkml.batched_proof/v1);
+//   --report=<file>   prove: the run report (zkml.run_report/v2), one
+//                     document for every plan, with an entry per circuit;
 //                     profile: the profile as JSON (zkml.circuit_profile/v1);
 //                     audit: soundness report (zkml.soundness/v1)
 //   --shards=N        prove: N>1 cuts the model into cost-balanced shards
@@ -248,7 +248,7 @@ int CmdProve(const std::string& model_path, const std::string& proof_path, uint6
   }
   const auto write_report = [&](const PlanProof& proof) {
     std::ofstream out(report_path);
-    out << PlanReportJson(*compiled, proof).DumpPretty() << "\n";
+    out << BuildRunReport(*compiled, proof).ToJson().DumpPretty() << "\n";
     return static_cast<bool>(out);
   };
   StatusOr<PlanProof> proof = ProvePlan(*compiled, inputs_q, &g_interrupt);
@@ -392,38 +392,10 @@ int CmdTelemetryValidate(const std::string& path) {
   }
   if (const obs::Json* schema = j.Find("schema"); schema != nullptr && schema->is_string() &&
                                                   schema->AsString().rfind("zkml.", 0) == 0) {
-    // Schema-specific structural checks on top of the generic zkml.* accept.
-    if (schema->AsString() == kShardedProofSchema) {
-      const obs::Json* num = j.Find("num_shards");
-      const obs::Json* shards = j.Find("shards");
-      const obs::Json* bounds = j.Find("boundary_elements");
-      if (num == nullptr || shards == nullptr || !shards->is_array() || bounds == nullptr ||
-          !bounds->is_array()) {
-        std::fprintf(stderr, "%s: %s document missing num_shards/shards/boundary_elements\n",
-                     path.c_str(), kShardedProofSchema);
-        return kExitMalformedInput;
-      }
-      const size_t k = static_cast<size_t>(num->AsInt());
-      if (shards->size() != k || bounds->size() != k + 1) {
-        std::fprintf(stderr,
-                     "%s: inconsistent shard counts (num_shards %zu, %zu shard entries, "
-                     "%zu boundaries; want k and k+1)\n",
-                     path.c_str(), k, shards->size(), bounds->size());
-        return kExitMalformedInput;
-      }
-    }
-    if (schema->AsString() == kBatchedProofSchema) {
-      const obs::Json* batch = j.Find("batch");
-      const obs::Json* elems = j.Find("instance_elements");
-      if (batch == nullptr || elems == nullptr || !elems->is_array()) {
-        std::fprintf(stderr, "%s: %s document missing batch/instance_elements\n", path.c_str(),
-                     kBatchedProofSchema);
-        return kExitMalformedInput;
-      }
-      if (elems->size() != static_cast<size_t>(batch->AsInt())) {
-        std::fprintf(stderr,
-                     "%s: inconsistent batch (batch %lld, %zu instance_elements entries)\n",
-                     path.c_str(), static_cast<long long>(batch->AsInt()), elems->size());
+    // Run reports must also parse as one: a plan, and one circuit per shard.
+    if (schema->AsString().rfind("zkml.run_report/", 0) == 0) {
+      if (StatusOr<obs::RunReport> report = obs::RunReport::FromJson(j); !report.ok()) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(), report.status().ToString().c_str());
         return kExitMalformedInput;
       }
     }

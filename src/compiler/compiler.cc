@@ -62,32 +62,9 @@ PhysicalLayout SimulateLayout(const Model& model, const GadgetSet& gadgets, int 
   return layout;
 }
 
-BuiltCircuit BuildCircuit(const Model& model, const PhysicalLayout& layout,
-                          const Tensor<int64_t>& input_q) {
-  BuilderOptions opts;
-  opts.num_io_columns = layout.num_columns;
-  opts.quant = model.quant;
-  opts.gadgets = layout.gadgets;
-  opts.estimate_only = false;
-  opts.k = layout.k;
-
-  BuiltCircuit built;
-  built.builder = std::make_unique<CircuitBuilder>(opts);
-  const std::vector<ImplChoice>* per_op = layout.per_op.empty() ? nullptr : &layout.per_op;
-  Tensor<Operand> out = LowerModel(*built.builder, model, input_q, per_op);
-  ZKML_CHECK_MSG(built.builder->MinRowsRequired() <= (static_cast<size_t>(1) << layout.k),
-                 "assigned circuit exceeded simulated layout");
-  built.output_q = Tensor<int64_t>(out.shape());
-  for (int64_t i = 0; i < out.NumElements(); ++i) {
-    built.output_q.flat(i) = out.flat(i).q;
-  }
-  built.num_instance_rows = built.builder->NumInstanceRows();
-  return built;
-}
-
 BuiltBatchedCircuit BuildBatchedCircuit(const Model& model, const PhysicalLayout& layout,
                                         const std::vector<Tensor<int64_t>>& inputs_q) {
-  ZKML_CHECK_MSG(!inputs_q.empty(), "batched build needs at least one input");
+  ZKML_CHECK_MSG(!inputs_q.empty(), "circuit build needs at least one input");
   ZKML_CHECK_MSG(layout.batch == inputs_q.size(),
                  "layout was simulated for a different batch size");
   BuilderOptions opts;
@@ -100,10 +77,8 @@ BuiltBatchedCircuit BuildBatchedCircuit(const Model& model, const PhysicalLayout
   BuiltBatchedCircuit built;
   built.builder = std::make_unique<CircuitBuilder>(opts);
   const std::vector<ImplChoice>* per_op = layout.per_op.empty() ? nullptr : &layout.per_op;
-  built.instance_offsets.push_back(0);
   for (const Tensor<int64_t>& input_q : inputs_q) {
     Tensor<Operand> out = LowerModel(*built.builder, model, input_q, per_op);
-    built.instance_offsets.push_back(built.builder->NumInstanceRows());
     Tensor<int64_t> out_q(out.shape());
     for (int64_t i = 0; i < out.NumElements(); ++i) {
       out_q.flat(i) = out.flat(i).q;
@@ -111,7 +86,7 @@ BuiltBatchedCircuit BuildBatchedCircuit(const Model& model, const PhysicalLayout
     built.outputs_q.push_back(std::move(out_q));
   }
   ZKML_CHECK_MSG(built.builder->MinRowsRequired() <= (static_cast<size_t>(1) << layout.k),
-                 "assigned batched circuit exceeded simulated layout");
+                 "assigned circuit exceeded simulated layout");
   built.num_instance_rows = built.builder->NumInstanceRows();
   return built;
 }

@@ -44,32 +44,19 @@ struct PhysicalLayout {
 PhysicalLayout SimulateLayout(const Model& model, const GadgetSet& gadgets, int num_columns,
                               const std::vector<ImplChoice>* per_op = nullptr, size_t batch = 1);
 
-// A built circuit: constraint system + full assignment for one input.
-struct BuiltCircuit {
+// A built circuit: constraint system + full assignment proving
+// `inputs.size()` independent inferences (one for a single proof). The
+// instance column holds their [input ‖ output] segments back to back.
+struct BuiltBatchedCircuit {
   std::unique_ptr<CircuitBuilder> builder;
-  Tensor<int64_t> output_q;
+  std::vector<Tensor<int64_t>> outputs_q;  // one per inference
   size_t num_instance_rows = 0;
 };
 
-// Assign-mode build at the given layout. Aborts if the simulated layout does
-// not fit (cannot happen when layout came from SimulateLayout on this model).
-BuiltCircuit BuildCircuit(const Model& model, const PhysicalLayout& layout,
-                          const Tensor<int64_t>& input_q);
-
-// A built batched circuit: one assignment proving `inputs.size()` independent
-// inferences. Per-inference instance segments are contiguous and recorded as
-// [instance_offsets[i], instance_offsets[i+1]) half-open row ranges; with
-// batch == 1 the builder state is identical to BuildCircuit's.
-struct BuiltBatchedCircuit {
-  std::unique_ptr<CircuitBuilder> builder;
-  std::vector<Tensor<int64_t>> outputs_q;       // one per inference
-  std::vector<size_t> instance_offsets;         // size batch + 1
-  size_t num_instance_rows = 0;                 // == instance_offsets.back()
-};
-
-// Assign-mode batched build: lowers the model once per input into a single
-// circuit at `layout` (which must have been simulated with
-// layout.batch == inputs.size()).
+// Assign-mode build: lowers the model once per input into a single circuit at
+// `layout` (which must have been simulated with layout.batch ==
+// inputs.size()). Aborts if the assignment does not fit the layout (cannot
+// happen when the layout came from SimulateLayout on this model).
 BuiltBatchedCircuit BuildBatchedCircuit(const Model& model, const PhysicalLayout& layout,
                                         const std::vector<Tensor<int64_t>>& inputs_q);
 

@@ -7,7 +7,7 @@ namespace zkml {
 namespace obs {
 namespace {
 
-constexpr char kSchema[] = "zkml.run_report/v1";
+constexpr char kSchema[] = "zkml.run_report/v2";
 
 Json KernelsToJson(const KernelCounters& k) {
   Json j = Json::Object();
@@ -49,17 +49,33 @@ Json RunReport::ToJson() const {
   root.Set("model", model);
   root.Set("backend", backend);
 
-  Json layout = Json::Object();
-  layout.Set("k", static_cast<uint64_t>(k));
-  layout.Set("num_columns", static_cast<uint64_t>(num_columns));
-  layout.Set("rows_used", rows_used);
-  layout.Set("num_lookups", num_lookups);
-  root.Set("layout", std::move(layout));
+  Json plan = Json::Object();
+  plan.Set("shards", shards);
+  plan.Set("batch", batch);
+  root.Set("plan", std::move(plan));
+
+  Json circuit_arr = Json::Array();
+  for (const RunReportCircuit& c : circuits) {
+    Json cj = Json::Object();
+    cj.Set("name", c.name);
+    cj.Set("k", static_cast<uint64_t>(c.k));
+    cj.Set("num_columns", static_cast<uint64_t>(c.num_columns));
+    cj.Set("rows_used", c.rows_used);
+    cj.Set("num_lookups", c.num_lookups);
+    cj.Set("flops", c.flops);
+    cj.Set("input_elements", c.input_elements);
+    cj.Set("instance_elements", c.instance_elements);
+    cj.Set("predicted_prove_seconds", c.predicted_prove_seconds);
+    cj.Set("prove_seconds", c.prove_seconds);
+    cj.Set("proof_bytes", c.proof_bytes);
+    circuit_arr.Append(std::move(cj));
+  }
+  root.Set("circuits", std::move(circuit_arr));
 
   Json timings = Json::Object();
-  timings.Set("predicted_prove_seconds", predicted_prove_seconds);
   timings.Set("compile_seconds", compile_seconds);
   timings.Set("keygen_seconds", keygen_seconds);
+  timings.Set("witness_seconds", witness_seconds);
   timings.Set("prove_seconds", prove_seconds);
   timings.Set("verify_seconds", verify_seconds);
   root.Set("timings", std::move(timings));
@@ -94,16 +110,42 @@ StatusOr<RunReport> RunReport::FromJson(const Json& j) {
   r.model = StringOr(j, "model", "");
   r.backend = StringOr(j, "backend", "");
 
-  if (const Json* layout = j.Find("layout"); layout != nullptr && layout->is_object()) {
-    r.k = static_cast<uint32_t>(NumberOr(*layout, "k", 0));
-    r.num_columns = static_cast<uint32_t>(NumberOr(*layout, "num_columns", 0));
-    r.rows_used = static_cast<uint64_t>(NumberOr(*layout, "rows_used", 0));
-    r.num_lookups = static_cast<uint64_t>(NumberOr(*layout, "num_lookups", 0));
+  const Json* plan = j.Find("plan");
+  if (plan == nullptr || !plan->is_object()) {
+    return ParseError("run_report: plan must be an object");
+  }
+  r.shards = static_cast<uint64_t>(NumberOr(*plan, "shards", 0));
+  r.batch = static_cast<uint64_t>(NumberOr(*plan, "batch", 0));
+  if (r.shards == 0 || r.batch == 0) {
+    return ParseError("run_report: plan needs shards and batch of at least 1");
+  }
+  const Json* circuits = j.Find("circuits");
+  if (circuits == nullptr || !circuits->is_array() || circuits->size() != r.shards) {
+    return ParseError("run_report: circuits must be an array of one entry per shard (plan has " +
+                      std::to_string(r.shards) + ")");
+  }
+  for (const Json& cj : circuits->items()) {
+    if (!cj.is_object()) {
+      return ParseError("run_report: circuit entries must be objects");
+    }
+    RunReportCircuit c;
+    c.name = StringOr(cj, "name", "");
+    c.k = static_cast<uint32_t>(NumberOr(cj, "k", 0));
+    c.num_columns = static_cast<uint32_t>(NumberOr(cj, "num_columns", 0));
+    c.rows_used = static_cast<uint64_t>(NumberOr(cj, "rows_used", 0));
+    c.num_lookups = static_cast<uint64_t>(NumberOr(cj, "num_lookups", 0));
+    c.flops = static_cast<uint64_t>(NumberOr(cj, "flops", 0));
+    c.input_elements = static_cast<uint64_t>(NumberOr(cj, "input_elements", 0));
+    c.instance_elements = static_cast<uint64_t>(NumberOr(cj, "instance_elements", 0));
+    c.predicted_prove_seconds = NumberOr(cj, "predicted_prove_seconds", 0);
+    c.prove_seconds = NumberOr(cj, "prove_seconds", 0);
+    c.proof_bytes = static_cast<uint64_t>(NumberOr(cj, "proof_bytes", 0));
+    r.circuits.push_back(std::move(c));
   }
   if (const Json* t = j.Find("timings"); t != nullptr && t->is_object()) {
-    r.predicted_prove_seconds = NumberOr(*t, "predicted_prove_seconds", 0);
     r.compile_seconds = NumberOr(*t, "compile_seconds", 0);
     r.keygen_seconds = NumberOr(*t, "keygen_seconds", 0);
+    r.witness_seconds = NumberOr(*t, "witness_seconds", 0);
     r.prove_seconds = NumberOr(*t, "prove_seconds", 0);
     r.verify_seconds = NumberOr(*t, "verify_seconds", 0);
   }

@@ -954,11 +954,15 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
       }
       const std::vector<std::string> keys = CacheKeys(lead.request, *plan);
       for (size_t i = 0; i < keys.size(); ++i) {
+        const CompiledModelCache::CompileFn compile =
+            [&]() -> StatusOr<std::shared_ptr<const CompiledModel>> {
+          cache_hit = false;
+          ZKML_ASSIGN_OR_RETURN(CompiledModel circuit,
+                                CompileCircuit(compiled.CircuitModel(i), plan->batch, zo));
+          return std::make_shared<const CompiledModel>(std::move(circuit));
+        };
         ZKML_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledModel> circuit,
-                              cache_.GetOrCompile(keys[i], [&] {
-                                cache_hit = false;
-                                return CompileCircuit(compiled.CircuitModel(i), plan->batch, zo);
-                              }));
+                              cache_.GetOrCompile(keys[i], compile));
         compiled.circuits.push_back(std::move(circuit));
         ZKML_RETURN_IF_ERROR(cancel.Check("compile"));
       }
@@ -1017,7 +1021,7 @@ void ZkmlServer::ExecuteGroup(const std::vector<std::shared_ptr<Job>>& group) {
     }
 
     if (!options_.report_dir.empty()) {
-      obs::Json report = PlanReportJson(compiled, *proof);
+      obs::Json report = BuildRunReport(compiled, *proof).ToJson();
       if (live.size() > 1) report.Set("coalesced", static_cast<uint64_t>(live.size()));
       // Report I/O must never fail a proved job.
       std::ofstream out(options_.report_dir + "/job_" + std::to_string(lead.id) + ".json");

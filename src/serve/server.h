@@ -79,7 +79,7 @@ struct ServeOptions {
   int optimizer_max_columns = 32;
   int optimizer_max_k = 15;
 
-  std::string report_dir;  // per-job zkml.run_report/v1 files (empty = off)
+  std::string report_dir;  // per-job zkml.run_report/v2 files (empty = off)
 
   // --- Ops plane (src/serve/admin.h). All off by default. ---
   int admin_port = -1;             // -1 = no admin listener, 0 = ephemeral port

@@ -4,15 +4,11 @@
 #include <optional>
 #include <thread>
 
-#include "src/base/check.h"
 #include "src/base/thread_pool.h"
 #include "src/base/timer.h"
-#include "src/compiler/compiler.h"
 #include "src/layers/quant_executor.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/plonk/proof_io.h"
-#include "src/plonk/prover.h"
 
 namespace zkml {
 namespace {
@@ -107,40 +103,6 @@ CrossProofVerdict VerifyClaims(const std::vector<CrossProofClaim>& claims,
   return verdict;
 }
 
-// One circuit's proof over its inputs (one per inference it lays out).
-struct CircuitProof {
-  std::vector<uint8_t> bytes;
-  std::vector<Fr> instance;
-  std::vector<Tensor<int64_t>> outputs_q;
-  double witness_seconds = 0;
-  double prove_seconds = 0;
-  ProverMetrics metrics;
-};
-
-StatusOr<CircuitProof> ProveCircuit(const CompiledModel& circuit,
-                                    const std::vector<Tensor<int64_t>>& inputs_q,
-                                    const CancelToken* cancel) {
-  ZKML_RETURN_IF_ERROR(CheckCancel(cancel, "witness-gen"));
-  CircuitProof out;
-  Timer witness_timer;
-  BuiltBatchedCircuit built = [&] {
-    obs::Span span(inputs_q.size() > 1 ? "batched-witness-gen" : "witness-gen");
-    return BuildBatchedCircuit(circuit.model, circuit.layout, inputs_q);
-  }();
-  out.witness_seconds = witness_timer.ElapsedSeconds();
-  out.outputs_q = std::move(built.outputs_q);
-  const Assignment& asn = built.builder->assignment();
-  const std::vector<Fr>& inst = asn.instance()[0];
-  out.instance.assign(inst.begin(), inst.begin() + built.num_instance_rows);
-
-  Timer prove_timer;
-  ZKML_ASSIGN_OR_RETURN(out.bytes, CreateProofCancellable(circuit.pk, *circuit.pcs, asn, cancel,
-                                                          &out.metrics));
-  out.prove_seconds = prove_timer.ElapsedSeconds();
-  obs::MetricsRegistry::Global().gauge("prover.measured_prove_seconds").Set(out.prove_seconds);
-  return out;
-}
-
 // Applies the plan's stitch rule: checks `statement` against the artifact's
 // vectors and fills the instance each circuit is verified against.
 VerifyResult Stitch(const CompiledPlan& compiled, const std::vector<Fr>& statement,
@@ -209,86 +171,6 @@ VerifyResult Stitch(const CompiledPlan& compiled, const std::vector<Fr>& stateme
   return VerifyResult::Accepted();
 }
 
-obs::Json ShardedReportJson(const CompiledPlan& compiled, const PlanProof& proof,
-                            double verify_seconds) {
-  const CompiledModel& first = *compiled.circuits[0];
-  obs::Json doc = obs::Json::Object();
-  doc.Set("schema", kShardedProofSchema);
-  doc.Set("model", compiled.model.name);
-  doc.Set("backend", first.pcs->kind() == PcsKind::kKzg ? "kzg" : "ipa");
-  doc.Set("num_shards", static_cast<uint64_t>(compiled.plan.shards));
-  doc.Set("compile_seconds", compiled.compile_seconds);
-  doc.Set("witness_seconds", proof.witness_seconds);
-  doc.Set("prove_wall_seconds", proof.prove_seconds);
-  double sum = 0, max = 0;
-  for (double s : proof.circuit_prove_seconds) {
-    sum += s;
-    max = std::max(max, s);
-  }
-  doc.Set("prove_cpu_seconds", sum);
-  doc.Set("max_shard_prove_seconds", max);
-  doc.Set("verify_seconds", verify_seconds);
-  doc.Set("proof_bytes", static_cast<uint64_t>(EncodePlanProof(proof.artifact).size()));
-  // Boundary i is shard i's input; the last is what remains of the last
-  // shard's [input ‖ output] statement.
-  const size_t k = compiled.plan.shards;
-  obs::Json boundaries = obs::Json::Array();
-  for (size_t i = 0; i < k; ++i) {
-    boundaries.Append(static_cast<uint64_t>(compiled.CircuitModel(i).input_shape.NumElements()));
-  }
-  boundaries.Append(static_cast<uint64_t>(
-      compiled.circuits[k - 1]->pk.vk.num_instance_rows -
-      static_cast<size_t>(compiled.CircuitModel(k - 1).input_shape.NumElements())));
-  doc.Set("boundary_elements", std::move(boundaries));
-  obs::Json shards = obs::Json::Array();
-  for (size_t i = 0; i < k; ++i) {
-    const CompiledModel& shard = *compiled.circuits[i];
-    obs::Json s = obs::Json::Object();
-    s.Set("name", shard.model.name);
-    s.Set("k", static_cast<uint64_t>(shard.layout.k));
-    s.Set("num_columns", static_cast<uint64_t>(shard.layout.num_columns));
-    s.Set("rows_used", static_cast<uint64_t>(shard.layout.rows_used));
-    s.Set("flops", static_cast<uint64_t>(compiled.partition.shards[i].flops));
-    if (i < proof.circuit_prove_seconds.size()) {
-      s.Set("prove_seconds", proof.circuit_prove_seconds[i]);
-    }
-    if (i < proof.artifact.proofs.size()) {
-      s.Set("proof_bytes", static_cast<uint64_t>(proof.artifact.proofs[i].size()));
-    }
-    shards.Append(std::move(s));
-  }
-  doc.Set("shards", std::move(shards));
-  return doc;
-}
-
-obs::Json BatchedReportJson(const CompiledPlan& compiled, const PlanProof& proof,
-                            double verify_seconds) {
-  const CompiledModel& cm = *compiled.circuits[0];
-  const size_t batch = compiled.plan.batch;
-  obs::Json doc = obs::Json::Object();
-  doc.Set("schema", kBatchedProofSchema);
-  doc.Set("model", cm.model.name);
-  doc.Set("backend", cm.pcs->kind() == PcsKind::kKzg ? "kzg" : "ipa");
-  doc.Set("batch", static_cast<uint64_t>(batch));
-  doc.Set("k", static_cast<uint64_t>(cm.layout.k));
-  doc.Set("num_columns", static_cast<uint64_t>(cm.layout.num_columns));
-  doc.Set("rows_used", static_cast<uint64_t>(cm.layout.rows_used));
-  doc.Set("compile_seconds", compiled.compile_seconds);
-  doc.Set("witness_seconds", proof.witness_seconds);
-  doc.Set("prove_seconds", proof.prove_seconds);
-  doc.Set("prove_seconds_per_inference", proof.prove_seconds / static_cast<double>(batch));
-  doc.Set("verify_seconds", verify_seconds);
-  doc.Set("proof_bytes", static_cast<uint64_t>(EncodePlanProof(proof.artifact).size()));
-  const size_t plonk_bytes = proof.artifact.proofs.empty() ? 0 : proof.artifact.proofs[0].size();
-  doc.Set("plonk_proof_bytes", static_cast<uint64_t>(plonk_bytes));
-  obs::Json segments = obs::Json::Array();
-  for (size_t i = 0; i < batch; ++i) {
-    segments.Append(static_cast<uint64_t>(cm.pk.vk.num_instance_rows / batch));
-  }
-  doc.Set("instance_elements", std::move(segments));
-  return doc;
-}
-
 }  // namespace
 
 std::string ProofPlan::ToString() const {
@@ -312,23 +194,6 @@ StatusOr<ProofPlan> ResolveProofPlan(const Model& model, size_t shards, size_t b
   return ProofPlan{shards > 1 ? ResolveShardCount(model, shards) : 1, std::max<size_t>(1, batch)};
 }
 
-StatusOr<std::shared_ptr<const CompiledModel>> CompileCircuit(const Model& model, size_t batch,
-                                                              const ZkmlOptions& options) {
-  OptimizerOptions opt = options.optimizer;
-  opt.backend = options.backend;
-  opt.batch = batch;
-  OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opt);
-  if (result.best.layout.k <= 0) {
-    return InvalidArgumentError("compile: no feasible layout for '" + model.name + "' at batch " +
-                                std::to_string(batch) + " within max_k " +
-                                std::to_string(opt.max_k) + " (shrink the batch or raise max_k)");
-  }
-  auto compiled = std::make_shared<CompiledModel>(
-      CompileModelWithLayout(model, result.best.layout, options));
-  compiled->optimizer_seconds = result.optimizer_seconds;
-  return std::shared_ptr<const CompiledModel>(std::move(compiled));
-}
-
 StatusOr<CompiledPlan> CompilePlan(const Model& model, const ProofPlan& plan,
                                    const ZkmlOptions& options) {
   obs::Span span("plan-compile");
@@ -340,8 +205,7 @@ StatusOr<CompiledPlan> CompilePlan(const Model& model, const ProofPlan& plan,
     ZKML_ASSIGN_OR_RETURN(out.partition, PartitionModel(model, out.plan.shards));
   }
   // Per-circuit optimizer + keygen are independent; compile them concurrently.
-  std::vector<std::optional<StatusOr<std::shared_ptr<const CompiledModel>>>> results(
-      out.plan.shards);
+  std::vector<std::optional<StatusOr<CompiledModel>>> results(out.plan.shards);
   ForEachCircuit(results.size(), [&](size_t i) {
     results[i].emplace(CompileCircuit(out.CircuitModel(i), out.plan.batch, options));
   });
@@ -349,7 +213,7 @@ StatusOr<CompiledPlan> CompilePlan(const Model& model, const ProofPlan& plan,
     if (!r->ok()) {
       return r->status();
     }
-    out.circuits.push_back(std::move(*r).value());
+    out.circuits.push_back(std::make_shared<const CompiledModel>(std::move(**r)));
   }
   out.compile_seconds = timer.ElapsedSeconds();
   return out;
@@ -505,6 +369,12 @@ StatusOr<PlanArtifact> DecodePlanProof(const std::vector<uint8_t>& bytes) {
     return MalformedProofError("artifact: implausible plan " + out.plan.ToString() + " for " +
                                std::to_string(bytes.size()) + " bytes");
   }
+  // EncodePlanProof writes plan {1,1} without a header and never a plan with
+  // both counts above one, so either header would be a second encoding.
+  if (out.plan == ProofPlan{} || (shards > 1 && batch > 1)) {
+    return MalformedProofError("artifact: non-canonical plan " + out.plan.ToString() +
+                               " in a zkml.proof/v2 header");
+  }
   out.vectors.resize(out.plan.num_vectors());
   for (std::vector<Fr>& v : out.vectors) {
     uint32_t len = 0;
@@ -576,22 +446,42 @@ VerifyResult VerifyPlan(const CompiledPlan& compiled, const std::vector<Fr>& sta
   return VerifyPlan(compiled, statement, *decoded);
 }
 
-obs::Json PlanReportJson(const CompiledPlan& compiled, const PlanProof& proof,
-                         double verify_seconds) {
-  if (compiled.plan.shards > 1) {
-    return ShardedReportJson(compiled, proof, verify_seconds);
+obs::RunReport BuildRunReport(const CompiledPlan& compiled, const PlanProof& proof,
+                              double verify_seconds) {
+  const ProofPlan& plan = compiled.plan;
+  obs::RunReport report;
+  report.model = compiled.model.name;
+  report.backend = compiled.circuits[0]->pcs->kind() == PcsKind::kKzg ? "kzg" : "ipa";
+  report.shards = plan.shards;
+  report.batch = plan.batch;
+  for (size_t i = 0; i < compiled.circuits.size(); ++i) {
+    const CompiledModel& circuit = *compiled.circuits[i];
+    obs::RunReportCircuit& c = report.circuits.emplace_back();
+    c.name = circuit.model.name;
+    c.k = static_cast<uint32_t>(circuit.layout.k);
+    c.num_columns = static_cast<uint32_t>(circuit.layout.num_columns);
+    c.rows_used = circuit.layout.rows_used;
+    c.num_lookups = circuit.layout.num_lookups;
+    c.flops = static_cast<uint64_t>(circuit.model.ApproxFlops());
+    c.input_elements = plan.batch * static_cast<uint64_t>(circuit.model.input_shape.NumElements());
+    c.instance_elements = circuit.pk.vk.num_instance_rows;
+    c.predicted_prove_seconds = circuit.predicted_cost.total_seconds;
+    // An interrupted prove reports its compiled circuits without proofs.
+    if (i < proof.circuit_prove_seconds.size()) c.prove_seconds = proof.circuit_prove_seconds[i];
+    if (i < proof.artifact.proofs.size()) c.proof_bytes = proof.artifact.proofs[i].size();
+    report.keygen_seconds += circuit.keygen_seconds;
   }
-  if (compiled.plan.batch > 1) {
-    return BatchedReportJson(compiled, proof, verify_seconds);
+  report.compile_seconds = compiled.compile_seconds;
+  report.witness_seconds = proof.witness_seconds;
+  report.prove_seconds = proof.prove_seconds;
+  report.verify_seconds = verify_seconds;
+  report.proof_bytes = EncodePlanProof(proof.artifact).size();
+  for (const ProverStageMetrics& stage : proof.prover_metrics.stages) {
+    report.stages.push_back({stage.name, stage.seconds, stage.kernels});
+    report.kernels = report.kernels + stage.kernels;
   }
-  ZkmlProof single;
-  if (!proof.artifact.proofs.empty()) {
-    single.bytes = proof.artifact.proofs[0];
-  }
-  single.prove_seconds = proof.prove_seconds;
-  single.prover_metrics = proof.prover_metrics;
-  return BuildRunReport(*compiled.circuits[0], single, verify_seconds, compiled.model.name)
-      .ToJson();
+  report.rss_hwm_kb = obs::ReadRssHighWaterKb();
+  return report;
 }
 
 CrossProofVerdict VerifyProofsBatched(const std::vector<CrossProofClaim>& claims) {

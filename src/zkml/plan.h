@@ -21,15 +21,10 @@
 #include "src/base/cancel.h"
 #include "src/base/status.h"
 #include "src/compiler/partition.h"
-#include "src/obs/json.h"
+#include "src/obs/run_report.h"
 #include "src/zkml/zkml.h"
 
 namespace zkml {
-
-// Schema names of the report documents PlanReportJson emits for sharded and
-// batched plans ({1,1} plans emit a zkml.run_report/v1).
-inline constexpr const char* kShardedProofSchema = "zkml.sharded_proof/v1";
-inline constexpr const char* kBatchedProofSchema = "zkml.batched_proof/v1";
 
 // How one proof lays its inferences out over circuits. At most one of the two
 // counts exceeds 1.
@@ -70,14 +65,8 @@ struct CompiledPlan {
   }
 };
 
-// Runs the optimizer with the batch dimension threaded through layout
-// simulation (whole-batch cost is ranked) and generates keys. batch == 1
-// yields exactly CompileModel's circuit; an infeasible layout is an error.
-StatusOr<std::shared_ptr<const CompiledModel>> CompileCircuit(const Model& model, size_t batch,
-                                                              const ZkmlOptions& options);
-
 // Resolves `plan`, partitions the model when it is sharded (cost-balanced
-// cuts), and compiles every circuit concurrently.
+// cuts), and compiles every circuit concurrently (CompileCircuit).
 StatusOr<CompiledPlan> CompilePlan(const Model& model, const ProofPlan& plan,
                                    const ZkmlOptions& options = {});
 
@@ -132,10 +121,10 @@ VerifyResult VerifyPlan(const CompiledPlan& compiled, const std::vector<Fr>& sta
 VerifyResult VerifyPlan(const CompiledPlan& compiled, const std::vector<Fr>& statement,
                         const std::vector<uint8_t>& artifact);
 
-// The plan's report document: zkml.run_report/v1 for {1,1}, else
-// kShardedProofSchema or kBatchedProofSchema.
-obs::Json PlanReportJson(const CompiledPlan& compiled, const PlanProof& proof,
-                         double verify_seconds = 0.0);
+// The run's zkml.run_report/v2 document, one entry per circuit of the plan.
+// A default PlanProof (an interrupted prove) reports the compile half only.
+obs::RunReport BuildRunReport(const CompiledPlan& compiled, const PlanProof& proof,
+                              double verify_seconds = 0.0);
 
 // --- Cross-proof RLC verification ---
 

@@ -38,69 +38,83 @@ CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& l
   Timer keygen_timer;
   // Keygen runs on the zero-input circuit: fixed columns and copy constraints
   // are input-independent (the graph has no data-dependent control flow).
-  // Batched layouts (layout.batch > 1) replicate the zero inference so the
-  // keys cover every inference's advice region.
-  Tensor<int64_t> zero(model.input_shape);
-  size_t num_instance_rows = 0;
-  std::unique_ptr<CircuitBuilder> builder;
-  {
+  // A batched layout replicates the zero inference so the keys cover every
+  // inference's advice region.
+  const std::vector<Tensor<int64_t>> zeros(layout.batch, Tensor<int64_t>(model.input_shape));
+  BuiltBatchedCircuit built = [&] {
     obs::Span build_span("compile-build-circuit");
-    if (layout.batch > 1) {
-      std::vector<Tensor<int64_t>> zeros(layout.batch, zero);
-      BuiltBatchedCircuit built = BuildBatchedCircuit(model, layout, zeros);
-      builder = std::move(built.builder);
-      num_instance_rows = built.num_instance_rows;
-    } else {
-      BuiltCircuit built = BuildCircuit(model, layout, zero);
-      builder = std::move(built.builder);
-      num_instance_rows = built.num_instance_rows;
-    }
-  }
-  compiled.pk = Keygen(builder->cs(), builder->assignment(), *compiled.pcs, layout.k);
+    return BuildBatchedCircuit(model, layout, zeros);
+  }();
+  compiled.pk = Keygen(built.builder->cs(), built.builder->assignment(), *compiled.pcs, layout.k);
   // The instance layout is input-independent, so the zero-input build fixes
   // the statement length the verifier must insist on.
-  compiled.pk.vk.num_instance_rows = num_instance_rows;
+  compiled.pk.vk.num_instance_rows = built.num_instance_rows;
   compiled.keygen_seconds = keygen_timer.ElapsedSeconds();
   return compiled;
 }
 
-CompiledModel CompileModel(const Model& model, const ZkmlOptions& options) {
+StatusOr<CompiledModel> CompileCircuit(const Model& model, size_t batch,
+                                       const ZkmlOptions& options) {
   OptimizerOptions opt = options.optimizer;
   opt.backend = options.backend;
+  opt.batch = batch;
   OptimizerResult result = OptimizeLayout(model, HardwareProfile::Cached(), opt);
-  ZKML_CHECK_MSG(result.best.layout.k > 0, "optimizer found no feasible layout");
+  if (result.best.layout.k <= 0) {
+    return InvalidArgumentError("compile: no feasible layout for '" + model.name + "' at batch " +
+                                std::to_string(batch) + " within max_k " +
+                                std::to_string(opt.max_k) + " (shrink the batch or raise max_k)");
+  }
   CompiledModel compiled = CompileModelWithLayout(model, result.best.layout, options);
   compiled.optimizer_seconds = result.optimizer_seconds;
   return compiled;
 }
 
-StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
-                                     const Tensor<int64_t>& input_q,
-                                     const CancelToken* cancel) {
-  ZkmlProof out;
-  if (compiled.layout.batch > 1) {
-    return InvalidArgumentError("model was compiled for batch size " +
-                                std::to_string(compiled.layout.batch) +
-                                "; use ProvePlan");
+CompiledModel CompileModel(const Model& model, const ZkmlOptions& options) {
+  StatusOr<CompiledModel> compiled = CompileCircuit(model, 1, options);
+  ZKML_CHECK_MSG(compiled.ok(), compiled.status().ToString().c_str());
+  return std::move(compiled).value();
+}
+
+StatusOr<CircuitProof> ProveCircuit(const CompiledModel& circuit,
+                                    const std::vector<Tensor<int64_t>>& inputs_q,
+                                    const CancelToken* cancel) {
+  if (inputs_q.size() != circuit.layout.batch) {
+    return InvalidArgumentError("prove: got " + std::to_string(inputs_q.size()) +
+                                " inputs, circuit was compiled for batch size " +
+                                std::to_string(circuit.layout.batch));
   }
   ZKML_RETURN_IF_ERROR(CheckCancel(cancel, "witness-gen"));
+  CircuitProof out;
   Timer witness_timer;
-  BuiltCircuit built = [&] {
-    obs::Span witness_span("witness-gen");
-    return BuildCircuit(compiled.model, compiled.layout, input_q);
+  BuiltBatchedCircuit built = [&] {
+    obs::Span span(inputs_q.size() > 1 ? "batched-witness-gen" : "witness-gen");
+    return BuildBatchedCircuit(circuit.model, circuit.layout, inputs_q);
   }();
   out.witness_seconds = witness_timer.ElapsedSeconds();
-  out.output_q = built.output_q;
-
+  out.outputs_q = std::move(built.outputs_q);
   const Assignment& asn = built.builder->assignment();
   const std::vector<Fr>& inst = asn.instance()[0];
   out.instance.assign(inst.begin(), inst.begin() + built.num_instance_rows);
 
   Timer prove_timer;
-  ZKML_ASSIGN_OR_RETURN(out.bytes, CreateProofCancellable(compiled.pk, *compiled.pcs, asn,
-                                                          cancel, &out.prover_metrics));
+  ZKML_ASSIGN_OR_RETURN(out.bytes, CreateProofCancellable(circuit.pk, *circuit.pcs, asn, cancel,
+                                                          &out.metrics));
   out.prove_seconds = prove_timer.ElapsedSeconds();
   obs::MetricsRegistry::Global().gauge("prover.measured_prove_seconds").Set(out.prove_seconds);
+  return out;
+}
+
+StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
+                                     const Tensor<int64_t>& input_q,
+                                     const CancelToken* cancel) {
+  ZKML_ASSIGN_OR_RETURN(CircuitProof proof, ProveCircuit(compiled, {input_q}, cancel));
+  ZkmlProof out;
+  out.bytes = std::move(proof.bytes);
+  out.instance = std::move(proof.instance);
+  out.output_q = std::move(proof.outputs_q[0]);
+  out.witness_seconds = proof.witness_seconds;
+  out.prove_seconds = proof.prove_seconds;
+  out.prover_metrics = std::move(proof.metrics);
   return out;
 }
 
@@ -179,7 +193,7 @@ SoundnessAudit RunSoundnessAudit(const Model& model, const Tensor<int64_t>& inpu
   kzg_options.backend = PcsKind::kKzg;
   CompiledModel kzg = CompileModel(model, kzg_options);
 
-  BuiltCircuit built = BuildCircuit(model, kzg.layout, input_q);
+  BuiltBatchedCircuit built = BuildBatchedCircuit(model, kzg.layout, {input_q});
   const ConstraintSystem& cs = built.builder->cs();
   const Assignment& asn = built.builder->assignment();
 
@@ -224,29 +238,6 @@ SoundnessAudit RunSoundnessAudit(const Model& model, const Tensor<int64_t>& inpu
     check_backend(ipa, &audit.honest_ipa_accepted, &audit.forged_ipa_rejected);
   }
   return audit;
-}
-
-obs::RunReport BuildRunReport(const CompiledModel& compiled, const ZkmlProof& proof,
-                              double verify_seconds, const std::string& model_name) {
-  obs::RunReport report;
-  report.model = model_name.empty() ? compiled.model.name : model_name;
-  report.backend = dynamic_cast<const KzgPcs*>(compiled.pcs.get()) != nullptr ? "kzg" : "ipa";
-  report.k = static_cast<uint32_t>(compiled.layout.k);
-  report.num_columns = static_cast<uint32_t>(compiled.layout.num_columns);
-  report.rows_used = compiled.layout.rows_used;
-  report.num_lookups = compiled.layout.num_lookups;
-  report.predicted_prove_seconds = compiled.predicted_cost.total_seconds;
-  report.compile_seconds = compiled.optimizer_seconds + compiled.keygen_seconds;
-  report.keygen_seconds = compiled.keygen_seconds;
-  report.prove_seconds = proof.prove_seconds;
-  report.verify_seconds = verify_seconds;
-  report.proof_bytes = proof.bytes.size();
-  for (const ProverStageMetrics& stage : proof.prover_metrics.stages) {
-    report.stages.push_back({stage.name, stage.seconds, stage.kernels});
-    report.kernels = report.kernels + stage.kernels;
-  }
-  report.rss_hwm_kb = obs::ReadRssHighWaterKb();
-  return report;
 }
 
 }  // namespace zkml

@@ -12,7 +12,7 @@
 #include "src/base/cancel.h"
 #include "src/base/status.h"
 #include "src/model/graph.h"
-#include "src/obs/run_report.h"
+#include "src/obs/json.h"
 #include "src/plonk/soundness.h"
 #include "src/optimizer/optimizer.h"
 #include "src/pcs/ipa.h"
@@ -40,7 +40,13 @@ struct CompiledModel {
   double keygen_seconds = 0;
 };
 
-// Runs the optimizer, builds the circuit, and generates keys.
+// Runs the optimizer with the batch dimension threaded through layout
+// simulation (whole-batch cost is ranked), builds the circuit, and generates
+// keys: the one compile body behind CompileModel and every plan circuit. An
+// infeasible layout is an error.
+StatusOr<CompiledModel> CompileCircuit(const Model& model, size_t batch,
+                                       const ZkmlOptions& options);
+// CompileCircuit for one inference; aborts if no layout is feasible.
 CompiledModel CompileModel(const Model& model, const ZkmlOptions& options = {});
 // Skips the optimizer and uses an explicit layout (ablation experiments).
 CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& layout,
@@ -57,17 +63,33 @@ struct ZkmlProof {
   ProverMetrics prover_metrics;
 };
 
-// Produces a proof that `compiled.model` maps input_q to the returned output.
-ZkmlProof Prove(const CompiledModel& compiled, const Tensor<int64_t>& input_q);
+// One circuit's proof over its inputs (one per inference it lays out).
+struct CircuitProof {
+  std::vector<uint8_t> bytes;
+  std::vector<Fr> instance;  // every inference's [input ‖ output], in order
+  std::vector<Tensor<int64_t>> outputs_q;
+  double witness_seconds = 0;
+  double prove_seconds = 0;
+  ProverMetrics metrics;
+};
 
-// Cancellable variant for long-lived callers (the proving daemon's deadline
-// enforcement, the CLI's SIGINT handling). `cancel` may be null; when it
-// fires the call returns kCancelled / kDeadlineExceeded at the next
-// checkpoint (before witness generation and between prover rounds) instead
-// of running the proof to completion.
+// The one prove body: builds the witness of `inputs_q` (circuit.layout.batch
+// of them) and runs CreateProof. `cancel` may be null; when it fires the call
+// returns kCancelled / kDeadlineExceeded at the next checkpoint (before
+// witness generation and between prover rounds) instead of running the proof
+// to completion.
+StatusOr<CircuitProof> ProveCircuit(const CompiledModel& circuit,
+                                    const std::vector<Tensor<int64_t>>& inputs_q,
+                                    const CancelToken* cancel);
+
+// ProveCircuit for one inference, for long-lived callers (the proving
+// daemon's deadline enforcement, the CLI's SIGINT handling).
 StatusOr<ZkmlProof> ProveCancellable(const CompiledModel& compiled,
                                      const Tensor<int64_t>& input_q,
                                      const CancelToken* cancel);
+
+// Produces a proof that `compiled.model` maps input_q to the returned output.
+ZkmlProof Prove(const CompiledModel& compiled, const Tensor<int64_t>& input_q);
 
 // Verifies a proof against its public statement, attributing any rejection to
 // the stage that failed (see VerifyResult). Validates the instance length
@@ -133,13 +155,6 @@ struct SoundnessAudit {
 // disabled — the output-forgery harness).
 SoundnessAudit RunSoundnessAudit(const Model& model, const Tensor<int64_t>& input_q,
                                  const SoundnessAuditOptions& options = {});
-
-// Assembles the machine-readable run report (schema "zkml.run_report/v1")
-// from a compile→prove(→verify) run. `verify_seconds` is 0 when the proof was
-// not verified in-process.
-obs::RunReport BuildRunReport(const CompiledModel& compiled, const ZkmlProof& proof,
-                              double verify_seconds = 0.0,
-                              const std::string& model_name = "");
 
 }  // namespace zkml
 

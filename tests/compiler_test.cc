@@ -16,7 +16,8 @@ TEST(CompilerTest, SimulationIsRowExact) {
   for (int n_cols : {8, 12, 20}) {
     PhysicalLayout layout = SimulateLayout(model, gs, n_cols);
     const Tensor<float> input = SyntheticInput(model, 5);
-    BuiltCircuit built = BuildCircuit(model, layout, QuantizeTensor(input, model.quant));
+    BuiltBatchedCircuit built =
+        BuildBatchedCircuit(model, layout, {QuantizeTensor(input, model.quant)});
     EXPECT_EQ(built.builder->RowsUsed(), layout.rows_used) << n_cols;
     EXPECT_EQ(built.builder->MinRowsRequired(), layout.min_rows) << n_cols;
   }
@@ -26,7 +27,8 @@ TEST(CompilerTest, BuiltCircuitSatisfiesConstraints) {
   const Model model = MakeMnistCnn();
   PhysicalLayout layout = SimulateLayout(model, GadgetSetForModel(model), 12);
   const Tensor<float> input = SyntheticInput(model, 6);
-  BuiltCircuit built = BuildCircuit(model, layout, QuantizeTensor(input, model.quant));
+  BuiltBatchedCircuit built =
+      BuildBatchedCircuit(model, layout, {QuantizeTensor(input, model.quant)});
   MockProver mp(&built.builder->cs(), &built.builder->assignment());
   auto failures = mp.Verify();
   EXPECT_TRUE(failures.empty()) << (failures.empty() ? "" : failures[0].description);

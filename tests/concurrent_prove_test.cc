@@ -5,11 +5,12 @@
 // shows up as a counter delta against the solo run of the same proof.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
-#include "src/zkml/zkml.h"
+#include "src/zkml/plan.h"
 
 namespace zkml {
 namespace {
@@ -76,38 +77,43 @@ TEST(ConcurrentProveTest, TwoBackendsProvedSimultaneously) {
 
 TEST(ConcurrentProveTest, RunReportStageDeltasIndependentUnderContention) {
   const Model model = MakeMnistCnn();
-  const CompiledModel compiled = CompileModel(model, FastOptions(PcsKind::kKzg));
-  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 33), model.quant);
+  const StatusOr<CompiledPlan> compiled = CompilePlan(model, {}, FastOptions(PcsKind::kKzg));
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::vector<Tensor<int64_t>> input = {
+      QuantizeTensor(SyntheticInput(model, 33), model.quant)};
 
-  const ZkmlProof solo = Prove(compiled, input);
+  const StatusOr<PlanProof> solo = ProvePlan(*compiled, input);
+  ASSERT_TRUE(solo.ok()) << solo.status().ToString();
 
   // Four identical proofs at once: every one must report the solo run's
   // per-stage kernel counters, and the run report built from each must agree
   // with its own metrics (not an aggregate across activities).
   constexpr int kProvers = 4;
-  ZkmlProof proofs[kProvers];
+  std::optional<StatusOr<PlanProof>> proofs[kProvers];
   std::vector<std::thread> threads;
   for (int p = 0; p < kProvers; ++p) {
-    threads.emplace_back([&, p] { proofs[p] = Prove(compiled, input); });
+    threads.emplace_back([&, p] { proofs[p].emplace(ProvePlan(*compiled, input)); });
   }
   for (auto& t : threads) t.join();
 
+  const std::vector<ProverStageMetrics>& solo_stages = solo->prover_metrics.stages;
   for (int p = 0; p < kProvers; ++p) {
-    EXPECT_EQ(proofs[p].bytes, solo.bytes) << "prover " << p;
-    ASSERT_EQ(proofs[p].prover_metrics.stages.size(), solo.prover_metrics.stages.size());
+    ASSERT_TRUE(proofs[p]->ok()) << proofs[p]->status().ToString();
+    const PlanProof& proof = **proofs[p];
+    EXPECT_EQ(proof.artifact.proofs, solo->artifact.proofs) << "prover " << p;
+    ASSERT_EQ(proof.prover_metrics.stages.size(), solo_stages.size());
     KernelCounters total;
-    for (size_t i = 0; i < solo.prover_metrics.stages.size(); ++i) {
-      EXPECT_TRUE(proofs[p].prover_metrics.stages[i].kernels ==
-                  solo.prover_metrics.stages[i].kernels)
-          << "prover " << p << " stage " << solo.prover_metrics.stages[i].name;
-      total = total + proofs[p].prover_metrics.stages[i].kernels;
+    for (size_t i = 0; i < solo_stages.size(); ++i) {
+      EXPECT_TRUE(proof.prover_metrics.stages[i].kernels == solo_stages[i].kernels)
+          << "prover " << p << " stage " << solo_stages[i].name;
+      total = total + proof.prover_metrics.stages[i].kernels;
     }
     // The run report's aggregate kernels equal the sum of its own stages.
-    const obs::RunReport report = BuildRunReport(compiled, proofs[p]);
+    const obs::RunReport report = BuildRunReport(*compiled, proof);
     EXPECT_TRUE(report.kernels == total) << "prover " << p;
-    ASSERT_EQ(report.stages.size(), proofs[p].prover_metrics.stages.size());
+    ASSERT_EQ(report.stages.size(), proof.prover_metrics.stages.size());
     for (size_t i = 0; i < report.stages.size(); ++i) {
-      EXPECT_TRUE(report.stages[i].kernels == proofs[p].prover_metrics.stages[i].kernels);
+      EXPECT_TRUE(report.stages[i].kernels == proof.prover_metrics.stages[i].kernels);
     }
   }
 }

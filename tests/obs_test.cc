@@ -290,16 +290,27 @@ TEST(RunReportTest, RoundTripsThroughParser) {
   obs::RunReport report;
   report.model = "mnist";
   report.backend = "kzg";
-  report.k = 12;
-  report.num_columns = 18;
-  report.rows_used = 3500;
-  report.num_lookups = 7;
-  report.predicted_prove_seconds = 1.25;
+  report.shards = 2;
+  obs::RunReportCircuit c;
+  c.name = "mnist:shard0/2";
+  c.k = 12;
+  c.num_columns = 18;
+  c.rows_used = 3500;
+  c.num_lookups = 7;
+  c.flops = 90000;
+  c.input_elements = 784;
+  c.instance_elements = 1000;
+  c.predicted_prove_seconds = 1.25;
+  c.prove_seconds = 1.5;
+  c.proof_bytes = 4000;
+  report.circuits = {c, c};
+  report.circuits[1].name = "mnist:shard1/2";
   report.compile_seconds = 0.5;
   report.keygen_seconds = 0.3;
-  report.prove_seconds = 1.5;
+  report.witness_seconds = 0.1;
+  report.prove_seconds = 1.6;
   report.verify_seconds = 0.02;
-  report.proof_bytes = 4096;
+  report.proof_bytes = 8096;
   report.stages.push_back({"advice-commit", 0.4, KernelCounters{2, 8192, 18, 73728}});
   report.stages.push_back({"quotient", 0.9, KernelCounters{52, 425984, 4, 65536}});
   report.kernels = report.stages[0].kernels + report.stages[1].kernels;
@@ -312,23 +323,45 @@ TEST(RunReportTest, RoundTripsThroughParser) {
   const obs::RunReport& r = back.value();
   EXPECT_EQ(r.model, "mnist");
   EXPECT_EQ(r.backend, "kzg");
-  EXPECT_EQ(r.k, 12u);
-  EXPECT_EQ(r.num_columns, 18u);
-  EXPECT_EQ(r.rows_used, 3500u);
-  EXPECT_EQ(r.num_lookups, 7u);
-  EXPECT_DOUBLE_EQ(r.predicted_prove_seconds, 1.25);
-  EXPECT_DOUBLE_EQ(r.prove_seconds, 1.5);
-  EXPECT_EQ(r.proof_bytes, 4096u);
+  EXPECT_EQ(r.shards, 2u);
+  EXPECT_EQ(r.batch, 1u);
+  ASSERT_EQ(r.circuits.size(), 2u);
+  EXPECT_EQ(r.circuits[1].name, "mnist:shard1/2");
+  EXPECT_EQ(r.circuits[0].k, 12u);
+  EXPECT_EQ(r.circuits[0].num_columns, 18u);
+  EXPECT_EQ(r.circuits[0].rows_used, 3500u);
+  EXPECT_EQ(r.circuits[0].num_lookups, 7u);
+  EXPECT_EQ(r.circuits[0].flops, 90000u);
+  EXPECT_EQ(r.circuits[0].input_elements, 784u);
+  EXPECT_EQ(r.circuits[0].instance_elements, 1000u);
+  EXPECT_DOUBLE_EQ(r.circuits[0].predicted_prove_seconds, 1.25);
+  EXPECT_DOUBLE_EQ(r.circuits[0].prove_seconds, 1.5);
+  EXPECT_EQ(r.circuits[0].proof_bytes, 4000u);
+  EXPECT_DOUBLE_EQ(r.compile_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(r.keygen_seconds, 0.3);
+  EXPECT_DOUBLE_EQ(r.witness_seconds, 0.1);
+  EXPECT_DOUBLE_EQ(r.prove_seconds, 1.6);
+  EXPECT_DOUBLE_EQ(r.verify_seconds, 0.02);
+  EXPECT_EQ(r.proof_bytes, 8096u);
   ASSERT_EQ(r.stages.size(), 2u);
   EXPECT_EQ(r.stages[0].name, "advice-commit");
   EXPECT_TRUE(r.stages[1].kernels == report.stages[1].kernels);
   EXPECT_TRUE(r.kernels == report.kernels);
   EXPECT_EQ(r.rss_hwm_kb, 123456u);
 
-  // Schema mismatch is rejected.
-  Json wrong = report.ToJson();
-  wrong.Set("schema", "zkml.run_report/v999");
-  EXPECT_FALSE(obs::RunReport::FromJson(wrong).ok());
+  // Schema mismatch is rejected, the retired v1 included.
+  for (const char* schema : {"zkml.run_report/v999", "zkml.run_report/v1"}) {
+    Json wrong = report.ToJson();
+    wrong.Set("schema", schema);
+    EXPECT_FALSE(obs::RunReport::FromJson(wrong).ok()) << schema;
+  }
+  // So is a report without a plan, or whose circuits disagree with it.
+  Json no_plan = report.ToJson();
+  no_plan.Set("plan", Json());
+  EXPECT_FALSE(obs::RunReport::FromJson(no_plan).ok());
+  obs::RunReport one_short = report;
+  one_short.circuits.pop_back();
+  EXPECT_FALSE(obs::RunReport::FromJson(one_short.ToJson()).ok());
 }
 
 // ---------------------------------------------------------------------------
