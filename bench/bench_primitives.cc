@@ -454,6 +454,38 @@ void BM_CommitRound(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitRound)->Args({9, 0})->Args({9, 1})->Unit(benchmark::kMillisecond);
 
+// The same 30 x 2^k round as BM_CommitRound, run through bare Msm() against
+// the Lagrange bases in one TaskGroup: the batched round without fixed-base
+// tables. The CI round gate holds BM_CommitRound/9/1 <= 0.75 x BM_MsmRound/9;
+// both run in one process on one pool, so the ratio does not depend on host
+// speed.
+void BM_MsmRound(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(1) << k;
+  const std::vector<G1Affine> lagrange =
+      LagrangeBasesFromMonomial(KzgSetup::Create(n, 11).powers);
+  Rng rng(8);
+  std::vector<std::vector<Fr>> round(30, std::vector<Fr>(n));
+  for (std::vector<Fr>& v : round) {
+    for (Fr& e : v) {
+      e = Fr::Random(rng);
+    }
+  }
+  std::vector<G1> out(round.size());
+  for (auto _ : state) {
+    {
+      TaskGroup group;
+      for (size_t i = 0; i < round.size(); ++i) {
+        group.Submit([&, i] { out[i] = Msm(lagrange.data(), round[i].data(), n); });
+      }
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["size"] = static_cast<double>(n);
+  state.counters["commits"] = static_cast<double>(round.size());
+}
+BENCHMARK(BM_MsmRound)->Arg(9)->Unit(benchmark::kMillisecond);
+
 // --- threads>1 series ------------------------------------------------------
 //
 // The MSM/FFT kernels size their parallelism off the affinity-sized global

@@ -50,6 +50,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -370,8 +371,16 @@ int CmdAudit(const std::string& model_path, uint64_t seed, const std::string& re
   return audit.Passed() ? kExitOk : kExitInvalidProof;
 }
 
+// The zkml.* telemetry schemas this program emits; telemetry-validate
+// rejects any other.
+constexpr const char* kTelemetrySchemas[] = {
+    "zkml.run_report/v2", "zkml.metrics/v1",  "zkml.trace/v1",   "zkml.circuit_profile/v1",
+    "zkml.soundness/v1",  "zkml.loadgen/v1",  "zkml.statusz/v1", "zkml.tracez/v1",
+};
+
 // Validates a telemetry JSON file: must parse strictly and be either a Chrome
-// trace (object with a traceEvents array) or a zkml.* schema document.
+// trace (object with a traceEvents array) or a document of one of
+// kTelemetrySchemas.
 int CmdTelemetryValidate(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -392,15 +401,20 @@ int CmdTelemetryValidate(const std::string& path) {
   }
   if (const obs::Json* schema = j.Find("schema"); schema != nullptr && schema->is_string() &&
                                                   schema->AsString().rfind("zkml.", 0) == 0) {
+    const std::string& name = schema->AsString();
+    if (std::find(std::begin(kTelemetrySchemas), std::end(kTelemetrySchemas), name) ==
+        std::end(kTelemetrySchemas)) {
+      std::fprintf(stderr, "%s: unknown telemetry schema %s\n", path.c_str(), name.c_str());
+      return kExitMalformedInput;
+    }
     // Run reports must also parse as one: a plan, and one circuit per shard.
-    if (schema->AsString().rfind("zkml.run_report/", 0) == 0) {
+    if (name == "zkml.run_report/v2") {
       if (StatusOr<obs::RunReport> report = obs::RunReport::FromJson(j); !report.ok()) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(), report.status().ToString().c_str());
         return kExitMalformedInput;
       }
     }
-    std::printf("%s: valid telemetry document (schema %s)\n", path.c_str(),
-                schema->AsString().c_str());
+    std::printf("%s: valid telemetry document (schema %s)\n", path.c_str(), name.c_str());
     return kExitOk;
   }
   std::fprintf(stderr, "%s: JSON is neither a chrome trace nor a zkml.* schema document\n",

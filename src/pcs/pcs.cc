@@ -16,11 +16,11 @@ obs::Counter& CommitCounter(PcsKind kind, bool lagrange) {
 }
 
 // One MSM per scalar vector, scalars[i] against bases[i], written into slot i.
-std::vector<PcsCommitment> MsmBatch(const std::vector<const G1Affine*>& bases,
+std::vector<PcsCommitment> MsmBatch(const std::vector<CommitBasis>& bases,
                                     const std::vector<const std::vector<Fr>*>& scalars) {
   std::vector<PcsCommitment> out(scalars.size());
   const auto commit = [&](size_t i) {
-    out[i].point = Msm(bases[i], scalars[i]->data(), scalars[i]->size()).ToAffine();
+    out[i].point = bases[i].Msm(scalars[i]->data(), scalars[i]->size()).ToAffine();
   };
   if (scalars.size() == 1) {
     commit(0);
@@ -56,7 +56,7 @@ std::vector<PcsCommitment> Pcs::Commit(const std::vector<const std::vector<Fr>*>
   for (const std::vector<Fr>* p : polys) {
     ZKML_CHECK_MSG(p->size() <= monomial.size(), "polynomial exceeds commitment setup");
   }
-  return MsmBatch(std::vector<const G1Affine*>(polys.size(), monomial.data()), polys);
+  return MsmBatch(std::vector<CommitBasis>(polys.size(), basis_cache_.Monomial(monomial)), polys);
 }
 
 std::vector<PcsCommitment> Pcs::CommitLagrange(
@@ -64,9 +64,9 @@ std::vector<PcsCommitment> Pcs::CommitLagrange(
   CommitCounter(kind(), /*lagrange=*/true).Increment(evals.size());
   // The commitment is linear in the bases, so the IFFT-transpose transform
   // applies to the structureless Pedersen bases as much as to KZG's powers.
-  std::vector<const G1Affine*> lagrange(evals.size());
+  std::vector<CommitBasis> lagrange(evals.size());
   for (size_t i = 0; i < evals.size(); ++i) {
-    lagrange[i] = lagrange_.Get(bases(), evals[i]->size()).data();
+    lagrange[i] = basis_cache_.Lagrange(bases(), evals[i]->size());
   }
   return MsmBatch(lagrange, evals);
 }

@@ -12,7 +12,7 @@
 #include "src/base/status.h"
 #include "src/ec/g1.h"
 #include "src/ff/fields.h"
-#include "src/pcs/lagrange_basis.h"
+#include "src/pcs/commit_basis.h"
 #include "src/transcript/transcript.h"
 
 namespace zkml {
@@ -67,8 +67,10 @@ class Pcs {
   // polys[i]. The K MSMs run as one task group on the global pool — each
   // prover round commits all its vectors in one call, so a round of small
   // MSMs (each serial below the MSM's own parallel threshold) still fills
-  // every core. A batch of one runs on the calling thread with the lone
-  // Msm() schedule.
+  // every core. A batch of one runs on the calling thread. Bases below
+  // kMsmSerialThreshold points commit through their fixed-base table
+  // (CommitBasisCache), built once per basis on first use; larger ones run
+  // the lone Msm() schedule. Either way the point is the same.
   std::vector<PcsCommitment> Commit(const std::vector<const std::vector<Fr>*>& polys) const;
   PcsCommitment Commit(const std::vector<Fr>& coeffs) const;
 
@@ -76,8 +78,8 @@ class Pcs {
   // size evals[i]->size() (a power of two, <= max_len()) are *evals[i],
   // without an iFFT: the MSM runs against a Lagrange-basis SRS derived once
   // per size by a G1 inverse FFT of the monomial bases and cached. The bases
-  // are fetched on the calling thread before the MSMs fan out, so a cold
-  // cache builds each size exactly once. Every returned point is
+  // and tables are fetched on the calling thread before the MSMs fan out, so
+  // a cold cache builds each size exactly once. Every returned point is
   // bit-identical to Commit(IfftToCoeffs(evals)) — both are the same group
   // element and affine serialization is canonical.
   std::vector<PcsCommitment> CommitLagrange(
@@ -104,7 +106,7 @@ class Pcs {
                                 size_t* offset) const = 0;
 
  private:
-  LagrangeBasisCache lagrange_;
+  CommitBasisCache basis_cache_;
 };
 
 }  // namespace zkml

@@ -8,8 +8,11 @@
 #include <optional>
 #include <thread>
 
+#include "src/base/rng.h"
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
+#include "src/obs/metrics.h"
+#include "src/pcs/kzg.h"
 #include "src/zkml/plan.h"
 
 namespace zkml {
@@ -22,6 +25,46 @@ ZkmlOptions FastOptions(PcsKind backend) {
   options.optimizer.max_columns = 26;
   options.optimizer.max_k = 14;
   return options;
+}
+
+// Two threads commit through one cold Pcs at once, so both race to build
+// its Lagrange basis and its monomial and Lagrange fixed-base tables. Each
+// builds outside the cache lock and a racing copy is dropped: the
+// commitments match a solo Pcs's, and one table per (basis, size) is kept.
+// The suite name puts it in the tsan CI configuration's filter.
+TEST(ConcurrentPcsTest, ColdPcsKeepsOneTablePerBasis) {
+  const auto setup = std::make_shared<KzgSetup>(KzgSetup::Create(512, 21));
+  Rng rng(22);
+  std::vector<std::vector<Fr>> vecs(8, std::vector<Fr>(512));
+  for (std::vector<Fr>& v : vecs) {
+    for (Fr& e : v) {
+      e = Fr::Random(rng);
+    }
+  }
+  const KzgPcs solo(setup);
+  const std::vector<PcsCommitment> want_lagrange = solo.CommitLagrange(PolyPointers(vecs));
+  const std::vector<PcsCommitment> want_monomial = solo.Commit(PolyPointers(vecs));
+
+  const obs::Counter& tables =
+      obs::MetricsRegistry::Global().counter("pcs.fixed_base_table_builds");
+  const uint64_t before = tables.Value();
+  const KzgPcs cold(setup);
+  std::vector<PcsCommitment> lagrange[2], monomial[2];
+  std::thread threads[2];
+  for (int t = 0; t < 2; ++t) {
+    threads[t] = std::thread([&, t] {
+      lagrange[t] = cold.CommitLagrange(PolyPointers(vecs));
+      monomial[t] = cold.Commit(PolyPointers(vecs));
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_TRUE(lagrange[t] == want_lagrange) << "thread " << t;
+    EXPECT_TRUE(monomial[t] == want_monomial) << "thread " << t;
+  }
+  EXPECT_EQ(tables.Value() - before, 2u);
 }
 
 TEST(ConcurrentProveTest, TwoBackendsProvedSimultaneously) {

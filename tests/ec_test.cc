@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -231,6 +233,74 @@ TEST(MsmTest, ChunkedImplMatchesUnchunked) {
     }
     EXPECT_EQ(ref, Msm(bases, scalars)) << "c=" << c;
   }
+}
+
+// Scalar shapes the fixed-base table must agree with Msm() on. "equal" gives
+// every scalar the same digits, so each window's entries all land in one
+// bucket chain; r - 1 carries through every signed digit.
+std::vector<Fr> TableScalars(const std::string& shape, size_t n, Rng& rng) {
+  std::vector<Fr> s(n, Fr::Zero());
+  const Fr shared = Fr::Random(rng);
+  for (size_t i = 0; i < n; ++i) {
+    if (shape == "random") {
+      s[i] = Fr::Random(rng);
+    } else if (shape == "small") {
+      const uint64_t mag = rng.NextU64() % (uint64_t{1} << 11);
+      s[i] = (i % 2 == 0) ? Fr::FromU64(mag) : Fr::Zero() - Fr::FromU64(mag);
+    } else if (shape == "r-1") {
+      s[i] = Fr::Zero() - Fr::One();
+    } else if (shape == "equal") {
+      s[i] = shared;
+    }
+  }
+  return s;
+}
+
+TEST(FixedBaseTableTest, MatchesMsmAcrossBasesScalarsAndLengths) {
+  const size_t kTable = 512;
+  Rng rng(401);
+  // KZG-style powers tau^i * G, IPA-style derived generators, and the
+  // generators again with one identity base.
+  std::vector<G1Affine> powers(kTable);
+  const Fr tau = Fr::Random(rng);
+  Fr tau_i = Fr::One();
+  for (G1Affine& p : powers) {
+    p = G1::Generator().ScalarMul(tau_i).ToAffine();
+    tau_i *= tau;
+  }
+  const std::vector<G1Affine> generators = DeriveGenerators(402, kTable);
+  std::vector<G1Affine> with_identity = generators;
+  with_identity[7] = G1Affine::Identity();
+  const std::vector<std::pair<const char*, const std::vector<G1Affine>*>> bases_sets = {
+      {"powers", &powers}, {"generators", &generators}, {"identity", &with_identity}};
+  for (const auto& [name, bases] : bases_sets) {
+    const FixedBaseTable table = FixedBaseTable::Build(bases->data(), kTable);
+    ASSERT_EQ(table.size(), kTable);
+    for (const char* shape : {"random", "zero", "small", "r-1", "equal"}) {
+      for (size_t n : {size_t{1}, size_t{31}, size_t{511}, size_t{512}}) {
+        const std::vector<Fr> scalars = TableScalars(shape, n, rng);
+        EXPECT_EQ(table.Msm(scalars.data(), n), Msm(bases->data(), scalars.data(), n))
+            << name << " " << shape << " n=" << n;
+      }
+    }
+  }
+}
+
+// Tables smaller than a sub-range, and ones holding one base many times
+// over, where +d/-d entries of the same point cancel inside a chain.
+TEST(FixedBaseTableTest, SmallTablesAndRepeatedBases) {
+  Rng rng(403);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{33}, size_t{300}}) {
+    const std::vector<G1Affine> bases(n, G1::Generator().ToAffine());
+    const FixedBaseTable table = FixedBaseTable::Build(bases.data(), n);
+    std::vector<Fr> scalars(n);
+    for (size_t i = 0; i < n; ++i) {
+      scalars[i] = (i % 2 == 1) ? Fr::Zero() - scalars[i - 1] : Fr::Random(rng);
+    }
+    EXPECT_EQ(table.Msm(scalars.data(), n), Msm(bases.data(), scalars.data(), n)) << "n=" << n;
+  }
+  const FixedBaseTable empty = FixedBaseTable::Build(nullptr, 0);
+  EXPECT_EQ(empty.Msm(nullptr, 0), G1::Identity());
 }
 
 // The G1 FFT must equal its definition L_j = sum_i (1/n) omega^{-ij} G_i,

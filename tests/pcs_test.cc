@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/base/rng.h"
+#include "src/obs/metrics.h"
 #include "src/pcs/ipa.h"
 #include "src/pcs/kzg.h"
 #include "src/poly/polynomial.h"
@@ -75,6 +76,42 @@ TEST_P(PcsTest, BatchedCommitsEqualOneAtATime) {
           << "lagrange commit " << i;
     }
   }
+}
+
+// A setup below the MSM's parallel threshold commits through fixed-base
+// tables, monomial and Lagrange alike: every commitment must equal the bare
+// Msm() of its vector, for vectors shorter than the table too, and each
+// table is kept once however many commits use it.
+TEST_P(PcsTest, TableCommitsEqualBareMsm) {
+  const obs::Counter& tables =
+      obs::MetricsRegistry::Global().counter("pcs.fixed_base_table_builds");
+  const uint64_t before = tables.Value();
+  auto pcs = MakePcs(512);
+  Rng rng(14);
+  std::vector<std::vector<Fr>> coeffs;
+  for (size_t n : {size_t{1}, size_t{31}, size_t{511}, size_t{512}}) {
+    coeffs.push_back(RandomCoeffs(rng, n));
+  }
+  coeffs.push_back(std::vector<Fr>(512, Fr::Zero() - Fr::One()));
+  const std::vector<PcsCommitment> batched = pcs->Commit(PolyPointers(coeffs));
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    const G1 msm = Msm(pcs->bases().data(), coeffs[i].data(), coeffs[i].size());
+    EXPECT_EQ(batched[i].point.Serialize(), msm.ToAffine().Serialize()) << "commit " << i;
+    EXPECT_EQ(pcs->Commit(coeffs[i]).point.Serialize(), msm.ToAffine().Serialize())
+        << "lone commit " << i;
+  }
+  for (size_t n : {size_t{1}, size_t{32}, size_t{512}}) {
+    const std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(
+        std::vector<G1Affine>(pcs->bases().begin(), pcs->bases().begin() + n));
+    const std::vector<std::vector<Fr>> evals = {RandomCoeffs(rng, n), RandomCoeffs(rng, n)};
+    const std::vector<PcsCommitment> committed = pcs->CommitLagrange(PolyPointers(evals));
+    for (size_t i = 0; i < evals.size(); ++i) {
+      EXPECT_EQ(committed[i].point.Serialize(), Msm(lagrange, evals[i]).ToAffine().Serialize())
+          << "lagrange commit at n=" << n;
+    }
+  }
+  // The monomial table, then one Lagrange table per size.
+  EXPECT_EQ(tables.Value() - before, 4u);
 }
 
 TEST_P(PcsTest, SingleOpenVerifies) {
