@@ -41,6 +41,33 @@ void BM_FieldMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul);
 
+// Dependent add and subtract chains: each result feeds the next operation,
+// and with random operands the carry and borrow go either way about half the
+// time, so a data-dependent branch in either would show here.
+void BM_FieldAdd(benchmark::State& state) {
+  Rng rng(1);
+  Fr a = Fr::Random(rng);
+  Fr b = Fr::Random(rng);
+  for (auto _ : state) {
+    a = a + b;
+    benchmark::DoNotOptimize(a);
+  }
+  state.counters["size"] = 1;
+}
+BENCHMARK(BM_FieldAdd);
+
+void BM_FieldSub(benchmark::State& state) {
+  Rng rng(1);
+  Fr a = Fr::Random(rng);
+  Fr b = Fr::Random(rng);
+  for (auto _ : state) {
+    a = a - b;
+    benchmark::DoNotOptimize(a);
+  }
+  state.counters["size"] = 1;
+}
+BENCHMARK(BM_FieldSub);
+
 void BM_FieldInverse(benchmark::State& state) {
   Rng rng(2);
   Fr a = Fr::Random(rng);
@@ -67,7 +94,39 @@ void BM_Fft(benchmark::State& state) {
   state.SetComplexityN(dom.size());
   state.counters["size"] = static_cast<double>(dom.size());
 }
-BENCHMARK(BM_Fft)->DenseRange(10, 18, 2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fft)->DenseRange(10, 14, 1)->Arg(16)->Arg(18)->Unit(benchmark::kMillisecond);
+
+// The quotient stage's FFT shape: 100 coset FFTs of 2^k (mnist's columns
+// at k = 9 on a 4x extended domain) in one TaskGroup, one column per task.
+// Against BM_Fft it sets the serial-FFT threshold (DESIGN.md §5): a round
+// of many transforms runs fastest with each on one core, while a lone large
+// one still wants the pool.
+void BM_CosetFftRound(benchmark::State& state) {
+  const int ext_n_log = static_cast<int>(state.range(0));
+  const int ext_k = 2;
+  EvaluationDomain dom(ext_n_log - ext_k);
+  Rng rng(3);
+  std::vector<std::vector<Fr>> coeffs(100, std::vector<Fr>(dom.size()));
+  for (std::vector<Fr>& col : coeffs) {
+    for (Fr& c : col) {
+      c = Fr::Random(rng);
+    }
+  }
+  std::vector<std::vector<Fr>> out(coeffs.size());
+  dom.CosetFftFromCoeffsInto(coeffs[0], ext_k, &out[0]);  // build the coset tables
+  for (auto _ : state) {
+    {
+      TaskGroup group;
+      for (size_t i = 0; i < coeffs.size(); ++i) {
+        group.Submit([&, i] { dom.CosetFftFromCoeffsInto(coeffs[i], ext_k, &out[i]); });
+      }
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["size"] = static_cast<double>(dom.size() << ext_k);
+  state.counters["ffts"] = static_cast<double>(coeffs.size());
+}
+BENCHMARK(BM_CosetFftRound)->DenseRange(11, 13, 1)->Unit(benchmark::kMillisecond);
 
 void BM_Msm(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
@@ -701,10 +760,13 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
         continue;
       }
       Record rec;
-      // "BM_Fft/12" -> "BM_Fft"; "BM_ProveModel/vgg16/4" -> "BM_ProveModel/vgg16".
-      // Numeric path segments are range args (already carried by the size
-      // counter); non-numeric ones are capture labels and stay in the op.
-      // Aggregate runs suffix "_<aggregate>" onto the last segment.
+      // "BM_Fft/12" -> "BM_Fft"; "BM_ProveModel/vgg16/4" -> "BM_ProveModel/vgg16";
+      // "BM_CommitRound/9/1" -> "BM_CommitRound/1". The first numeric path
+      // segment is the range arg the size counter carries, so it is dropped;
+      // later numeric segments are further args that size does not carry
+      // and stay, so no two records share (op, size). Non-numeric segments
+      // are capture labels and stay too. Aggregate runs suffix
+      // "_<aggregate>" onto the last segment.
       std::string name = run.benchmark_name();
       if (run.run_type == Run::RT_Aggregate) {
         const std::string suffix = "_" + run.aggregate_name;
@@ -713,17 +775,21 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
           name.resize(name.size() - suffix.size());
         }
       }
+      bool dropped_size_arg = false;
       for (size_t start = 0; start <= name.size();) {
         const size_t slash = name.find('/', start);
         const size_t seg_end = slash == std::string::npos ? name.size() : slash;
         const std::string seg = name.substr(start, seg_end - start);
-        if (!seg.empty() && seg.find_first_not_of("0123456789") == std::string::npos) {
-          break;  // range arg: drop it and everything after
+        const bool numeric =
+            !seg.empty() && seg.find_first_not_of("0123456789") == std::string::npos;
+        if (numeric && !dropped_size_arg) {
+          dropped_size_arg = true;
+        } else {
+          if (!rec.op.empty()) {
+            rec.op += '/';
+          }
+          rec.op += seg;
         }
-        if (!rec.op.empty()) {
-          rec.op += '/';
-        }
-        rec.op += seg;
         if (slash == std::string::npos) {
           break;
         }

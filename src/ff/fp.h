@@ -15,6 +15,16 @@
 #include "src/ff/mont_mul_x86.h"
 #include "src/ff/u256.h"
 
+// The add/sub family is a few dozen instructions and sits inside every hot
+// loop (the MSM's point additions, FFT butterflies), yet GCC's inliner
+// leaves it as an out-of-line call inside large callers such as
+// G1::operator+; forced inlining keeps the operands in registers.
+#if defined(__GNUC__)
+#define ZKML_FIELD_INLINE inline __attribute__((always_inline))
+#else
+#define ZKML_FIELD_INLINE inline
+#endif
+
 namespace zkml {
 
 struct MontgomeryContext {
@@ -129,25 +139,25 @@ class Fp {
   bool operator==(const Fp& o) const { return v_ == o.v_; }
   bool operator!=(const Fp& o) const { return !(v_ == o.v_); }
 
-  Fp operator+(const Fp& o) const {
-    constexpr U256 kMod = Mod();
+  // Addition and subtraction are branch-free: both candidate results are
+  // computed and one is selected by mask. The carry and borrow depend on the
+  // data: a branch on them mispredicts about half the time on random field
+  // values, and each mispredict costs more than the arithmetic itself.
+  ZKML_FIELD_INLINE Fp operator+(const Fp& o) const {
     Fp r;
-    const uint64_t carry = AddU256(v_, o.v_, &r.v_);
     U256 s;
-    const uint64_t borrow = SubU256(r.v_, kMod, &s);
-    if (carry != 0 || borrow == 0) {
-      r.v_ = s;
-    }
+    const uint64_t carry = AddU256(v_, o.v_, &s);
+    r.v_ = ReduceOnce(s, carry);
     return r;
   }
 
-  Fp operator-(const Fp& o) const {
+  ZKML_FIELD_INLINE Fp operator-(const Fp& o) const {
     constexpr U256 kMod = Mod();
+    U256 d, t;
+    const uint64_t borrow = SubU256(v_, o.v_, &d);
+    AddU256(d, kMod, &t);
     Fp r;
-    uint64_t borrow = SubU256(v_, o.v_, &r.v_);
-    if (borrow != 0) {
-      AddU256(r.v_, kMod, &r.v_);
-    }
+    r.v_ = Select(0 - borrow, t, d);
     return r;
   }
 
@@ -161,18 +171,28 @@ class Fp {
   Fp& operator-=(const Fp& o) { return *this = *this - o; }
   Fp& operator*=(const Fp& o) { return *this = *this * o; }
 
-  Fp Neg() const {
+  ZKML_FIELD_INLINE Fp Neg() const {
     constexpr U256 kMod = Mod();
-    if (IsZero()) {
-      return *this;
-    }
+    U256 d;
+    SubU256(kMod, v_, &d);
+    // -0 is 0, not p: keep p - v only when v is nonzero.
+    const uint64_t nonzero = (v_.limbs[0] | v_.limbs[1] | v_.limbs[2] | v_.limbs[3]) != 0;
     Fp r;
-    SubU256(kMod, v_, &r.v_);
+    r.v_ = Select(0 - nonzero, d, U256::Zero());
     return r;
   }
   Fp operator-() const { return Neg(); }
 
-  Fp Double() const { return *this + *this; }
+  // 2v as a one-bit left shift across the limbs, then one conditional
+  // subtraction of p.
+  ZKML_FIELD_INLINE Fp Double() const {
+    const uint64_t* l = v_.limbs;
+    const U256 s{{l[0] << 1, (l[1] << 1) | (l[0] >> 63), (l[2] << 1) | (l[1] >> 63),
+                  (l[3] << 1) | (l[2] >> 63)}};
+    Fp r;
+    r.v_ = ReduceOnce(s, l[3] >> 63);
+    return r;
+  }
   Fp Square() const { return *this * *this; }
 
   Fp Pow(const U256& e) const {
@@ -220,6 +240,25 @@ class Fp {
   }
 
  private:
+  // mask ? a : b, for a mask of all ones or all zeros.
+  ZKML_FIELD_INLINE static U256 Select(uint64_t mask, const U256& a, const U256& b) {
+    U256 r;
+    for (int i = 0; i < 4; ++i) {
+      r.limbs[i] = (a.limbs[i] & mask) | (b.limbs[i] & ~mask);
+    }
+    return r;
+  }
+
+  // Reduces s + carry * 2^256, known to be below 2p, into [0, p): s - p when
+  // that does not borrow or the carry is set, else s. The borrow chain
+  // doubles as the >= p comparison; no branch depends on the data.
+  ZKML_FIELD_INLINE static U256 ReduceOnce(const U256& s, uint64_t carry) {
+    constexpr U256 kMod = Mod();
+    U256 t;
+    const uint64_t borrow = SubU256(s, kMod, &t);
+    return Select(0 - (borrow & (carry ^ 1)), s, t);
+  }
+
   static U256 MontMul(const U256& a, const U256& b) {
     if constexpr (kNoCarry) {
 #ifdef ZKML_HAVE_MONT_MUL_X86
@@ -261,14 +300,7 @@ class Fp {
       }
       t[3] = A + C;
     }
-    // Single borrow-chain subtract doubles as the >= p comparison; the
-    // limb-by-limb CmpU256 branches mispredict badly on random field data.
-    U256 r{{t[0], t[1], t[2], t[3]}};
-    U256 s;
-    if (SubU256(r, kMod, &s) == 0) {
-      r = s;
-    }
-    return r;
+    return ReduceOnce(U256{{t[0], t[1], t[2], t[3]}}, 0);
   }
 
   static U256 MontMulGeneric(const U256& a, const U256& b, const MontgomeryContext& ctx) {
@@ -304,10 +336,7 @@ class Fp {
     U256 r{{t[0], t[1], t[2], t[3]}};
     U256 s;
     const uint64_t borrow = SubU256(r, ctx.modulus, &s);
-    if (t[4] != 0 || borrow == 0) {
-      r = s;
-    }
-    return r;
+    return Select(0 - (borrow & static_cast<uint64_t>(t[4] == 0)), r, s);
   }
 
   U256 v_;  // Montgomery form: v_ = x * 2^256 mod p

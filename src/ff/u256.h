@@ -8,6 +8,16 @@
 #include <cstdint>
 #include <string>
 
+// AddU256 and SubU256 run on the x86-64 carry flag (ADC/SBB through
+// the _addcarry_u64/_subborrow_u64 intrinsics, which every x86-64 CPU has).
+// GCC 12 renders the portable __int128 chains as carry bits moved through
+// general registers (SETC/MOVZX, XOR/SBB pairs), about twice as slow per
+// field addition; the portable build keeps them so CI tests them.
+#if defined(__x86_64__) && !defined(ZKML_DISABLE_SIMD_BUILD)
+#define ZKML_HAVE_CARRY_INTRINSICS 1
+#include <immintrin.h>
+#endif
+
 namespace zkml {
 
 struct U256 {
@@ -58,6 +68,15 @@ inline int CmpU256(const U256& a, const U256& b) {
 
 // r = a + b; returns the carry-out bit.
 inline uint64_t AddU256(const U256& a, const U256& b, U256* r) {
+#ifdef ZKML_HAVE_CARRY_INTRINSICS
+  unsigned char carry = 0;
+  for (int i = 0; i < 4; ++i) {
+    unsigned long long limb;
+    carry = _addcarry_u64(carry, a.limbs[i], b.limbs[i], &limb);
+    r->limbs[i] = limb;
+  }
+  return carry;
+#else
   unsigned __int128 carry = 0;
   for (int i = 0; i < 4; ++i) {
     unsigned __int128 cur = carry + a.limbs[i] + b.limbs[i];
@@ -65,10 +84,20 @@ inline uint64_t AddU256(const U256& a, const U256& b, U256* r) {
     carry = cur >> 64;
   }
   return static_cast<uint64_t>(carry);
+#endif
 }
 
 // r = a - b; returns the borrow-out bit.
 inline uint64_t SubU256(const U256& a, const U256& b, U256* r) {
+#ifdef ZKML_HAVE_CARRY_INTRINSICS
+  unsigned char borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    unsigned long long limb;
+    borrow = _subborrow_u64(borrow, a.limbs[i], b.limbs[i], &limb);
+    r->limbs[i] = limb;
+  }
+  return borrow;
+#else
   unsigned __int128 borrow = 0;
   for (int i = 0; i < 4; ++i) {
     unsigned __int128 cur = static_cast<unsigned __int128>(a.limbs[i]) - b.limbs[i] - borrow;
@@ -76,7 +105,9 @@ inline uint64_t SubU256(const U256& a, const U256& b, U256* r) {
     borrow = (cur >> 64) & 1;
   }
   return static_cast<uint64_t>(borrow);
+#endif
 }
+
 // In-place right shift by s bits (0 <= s < 256).
 U256 ShrU256(const U256& a, int s);
 

@@ -1,6 +1,7 @@
 #include "src/poly/domain.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/base/check.h"
 #include "src/base/kernel_stats.h"
@@ -39,14 +40,6 @@ std::vector<Fr> BuildPowers(const Fr& base, size_t n, const Fr& scale) {
   return out;
 }
 
-// In-place radix-2 DIT FFT. tw[i] = w^i for i < n/2 where w is a primitive
-// n-th root of unity.
-//
-// Each stage has n/2 butterflies laid out as (n/len) blocks of len/2. The
-// work is parallelized over the flattened butterfly index, so a chunk covers
-// many whole blocks in the early stages and a j-range inside one wide block
-// in the late stages — the same loop exposes both parallelism axes, and
-// stages where n/len drops below the worker count still use every thread.
 // ---- Cache-blocked six-step (Bailey) FFT for large transforms ------------
 //
 // A radix-2 transform of n Fr elements makes log2(n) full passes over
@@ -118,7 +111,17 @@ void FftRowSerial(Fr* a, size_t L, const Fr* stw, Fr* vbuf) {
     const Fr* twd = stw + off;
     off += half;
     for (size_t base = 0; base < L; base += len) {
-      BatchMul(vbuf, a + base + half, twd, half);
+      if (half >= 8) {
+        BatchMul(vbuf, a + base + half, twd, half);
+      } else {
+        // Blocks too short for a SIMD group: multiply one at a time,
+        // skipping twd[0] == 1 (every product of the first stage, half of
+        // the second's).
+        vbuf[0] = a[base + half];
+        for (size_t j = 1; j < half; ++j) {
+          vbuf[j] = a[base + half + j] * twd[j];
+        }
+      }
       for (size_t j = 0; j < half; ++j) {
         const Fr u = a[base + j];
         const Fr v = vbuf[j];
@@ -126,6 +129,38 @@ void FftRowSerial(Fr* a, size_t L, const Fr* stw, Fr* vbuf) {
         a[base + half + j] = u - v;
       }
     }
+  }
+}
+
+// The table FftCore reads for a size-n transform, built from plain[i] = w^i
+// for i < n / 2. Above kSerialFftMaxN that is `plain` itself. Up to it, the
+// serial pass's stage table (BuildStageTwiddles): its last stage is exactly
+// `plain`, so one vector serves the serial path with no second copy.
+std::vector<Fr> TwiddleTable(std::vector<Fr> plain) {
+  const size_t n = 2 * plain.size();
+  if (n < 2 || n > kSerialFftMaxN) {
+    return plain;
+  }
+  return BuildStageTwiddles(n, plain.data(), 1);
+}
+
+// Per-thread butterfly scratch for the serial path (n / 2 elements), grown
+// monotonically so repeated transforms allocate nothing.
+Fr* SerialFftScratch(size_t n) {
+  static thread_local std::vector<Fr> scratch;
+  if (scratch.size() < n / 2) {
+    scratch.resize(n / 2);
+  }
+  return scratch.data();
+}
+
+// Runs fn over [0, n) for a transform's pointwise scaling pass: inline on
+// the serial path, across the pool above it.
+void ScalePass(size_t n, const std::function<void(size_t, size_t)>& fn) {
+  if (n <= kSerialFftMaxN) {
+    fn(0, n);
+  } else {
+    ParallelFor(0, n, fn);
   }
 }
 
@@ -199,17 +234,25 @@ void SixStepFft(std::vector<Fr>& a, const Fr* tw) {
   a.swap(b);
 }
 
-void FftCore(std::vector<Fr>& a, const Fr* tw) {
+// `tw` comes from TwiddleTable for a.size().
+void FftCore(std::vector<Fr>& a, const std::vector<Fr>& tw) {
   const size_t n = a.size();
   ZKML_CHECK_MSG((n & (n - 1)) == 0, "FFT size must be a power of two");
   kernelstats::RecordFft(n);
   if (n <= 1) {
     return;
   }
-  if (n >= kSixStepMinN) {
-    SixStepFft(a, tw);
+  if (n <= kSerialFftMaxN) {
+    FftRowSerial(a.data(), n, tw.data(), SerialFftScratch(n));
     return;
   }
+  if (n >= kSixStepMinN) {
+    SixStepFft(a, tw.data());
+    return;
+  }
+  // Radix-2 DIT with each stage's n/2 butterflies parallelized over the
+  // flattened butterfly index: a chunk covers many whole blocks in the early
+  // stages and a j-range inside one wide block in the late ones.
   BitReversePermute(a.data(), n);
   for (size_t len = 2; len <= n; len <<= 1) {
     const size_t half = len / 2;
@@ -244,8 +287,7 @@ void Fft(std::vector<Fr>* values, const Fr& omega) {
   if (n <= 1) {
     return;
   }
-  const std::vector<Fr> tw = BuildPowers(omega, n / 2, Fr::One());
-  FftCore(*values, tw.data());
+  FftCore(*values, TwiddleTable(BuildPowers(omega, n / 2, Fr::One())));
 }
 
 EvaluationDomain::EvaluationDomain(int k) : k_(k), n_(static_cast<size_t>(1) << k) {
@@ -253,34 +295,33 @@ EvaluationDomain::EvaluationDomain(int k) : k_(k), n_(static_cast<size_t>(1) << 
   omega_inv_ = omega_.Inverse();
   n_inv_ = Fr::FromU64(n_).Inverse();
   elements_ = BuildPowers(omega_, n_, Fr::One());
-  twiddles_.assign(elements_.begin(), elements_.begin() + n_ / 2);
-  // omega^{-i} = omega^{n-i}, so the inverse table is the reversed tail of
+  twiddles_ = TwiddleTable(std::vector<Fr>(elements_.begin(), elements_.begin() + n_ / 2));
+  // omega^{-i} = omega^{n-i}, so the inverse powers are the reversed tail of
   // elements_ (with omega^0 = 1 up front).
-  inv_twiddles_.resize(n_ / 2);
-  if (!inv_twiddles_.empty()) {
-    inv_twiddles_[0] = Fr::One();
+  std::vector<Fr> inv(n_ / 2);
+  if (!inv.empty()) {
+    inv[0] = Fr::One();
     for (size_t i = 1; i < n_ / 2; ++i) {
-      inv_twiddles_[i] = elements_[n_ - i];
+      inv[i] = elements_[n_ - i];
     }
   }
+  inv_twiddles_ = TwiddleTable(std::move(inv));
 }
 
 std::vector<Fr> EvaluationDomain::FftFromCoeffs(const std::vector<Fr>& coeffs) const {
   ZKML_CHECK_MSG(coeffs.size() <= n_, "polynomial larger than domain");
   std::vector<Fr> vals = coeffs;
   vals.resize(n_, Fr::Zero());
-  FftCore(vals, twiddles_.data());
+  FftCore(vals, twiddles_);
   return vals;
 }
 
 std::vector<Fr> EvaluationDomain::IfftToCoeffs(const std::vector<Fr>& evals) const {
   ZKML_CHECK(evals.size() == n_);
   std::vector<Fr> coeffs = evals;
-  FftCore(coeffs, inv_twiddles_.data());
-  ParallelFor(0, n_, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      coeffs[i] *= n_inv_;
-    }
+  FftCore(coeffs, inv_twiddles_);
+  ScalePass(n_, [&](size_t lo, size_t hi) {
+    BatchMulScalar(coeffs.data() + lo, coeffs.data() + lo, n_inv_, hi - lo);
   });
   return coeffs;
 }
@@ -303,8 +344,8 @@ const EvaluationDomain::CosetTables& EvaluationDomain::GetCosetTables(int ext_k)
   const Fr w_ext = FrRootOfUnity(k_ + ext_k);
   const Fr g = Fr::FromU64(FrParams::kGenerator);
   CosetTables t;
-  t.twiddles = BuildPowers(w_ext, ext_n / 2, Fr::One());
-  t.inv_twiddles = BuildPowers(w_ext.Inverse(), ext_n / 2, Fr::One());
+  t.twiddles = TwiddleTable(BuildPowers(w_ext, ext_n / 2, Fr::One()));
+  t.inv_twiddles = TwiddleTable(BuildPowers(w_ext.Inverse(), ext_n / 2, Fr::One()));
   t.scale = BuildPowers(g, ext_n, Fr::One());
   t.inv_scale = BuildPowers(g.Inverse(), ext_n, Fr::FromU64(ext_n).Inverse());
   std::lock_guard<std::mutex> lock(coset_mu_);
@@ -329,12 +370,14 @@ void EvaluationDomain::CosetFftFromCoeffsInto(const std::vector<Fr>& coeffs, int
   // Scale coefficient i by g^i (zero-padding the tail), then a plain FFT over
   // H_ext evaluates on gH_ext.
   const size_t m = coeffs.size();
-  ParallelFor(0, ext_n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      vals[i] = i < m ? coeffs[i] * t.scale[i] : Fr::Zero();
+  ScalePass(ext_n, [&](size_t lo, size_t hi) {
+    const size_t mid = std::clamp(m, lo, hi);
+    if (mid > lo) {
+      BatchMul(vals.data() + lo, coeffs.data() + lo, t.scale.data() + lo, mid - lo);
     }
+    std::fill(vals.begin() + mid, vals.begin() + hi, Fr::Zero());
   });
-  FftCore(vals, t.twiddles.data());
+  FftCore(vals, t.twiddles);
 }
 
 std::vector<Fr> EvaluationDomain::CosetIfftToCoeffs(const std::vector<Fr>& evals,
@@ -343,11 +386,9 @@ std::vector<Fr> EvaluationDomain::CosetIfftToCoeffs(const std::vector<Fr>& evals
   ZKML_CHECK(evals.size() == ext_n);
   const CosetTables& t = GetCosetTables(ext_k);
   std::vector<Fr> coeffs = evals;
-  FftCore(coeffs, t.inv_twiddles.data());
-  ParallelFor(0, coeffs.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      coeffs[i] *= t.inv_scale[i];
-    }
+  FftCore(coeffs, t.inv_twiddles);
+  ScalePass(ext_n, [&](size_t lo, size_t hi) {
+    BatchMul(coeffs.data() + lo, coeffs.data() + lo, t.inv_scale.data() + lo, hi - lo);
   });
   return coeffs;
 }

@@ -6,7 +6,8 @@
 // Twiddle tables are computed once per domain (and once per extended coset
 // domain, lazily) and reused by every transform; the prover runs hundreds of
 // FFTs over the same handful of domains, and rebuilding the power table used
-// to dominate small-FFT cost.
+// to dominate small-FFT cost. Small transforms run serially on the calling
+// thread; callers transform many columns at once in their own TaskGroups.
 #ifndef SRC_POLY_DOMAIN_H_
 #define SRC_POLY_DOMAIN_H_
 
@@ -19,6 +20,15 @@
 #include "src/poly/polynomial.h"
 
 namespace zkml {
+
+// Transforms up to this size run as one serial, cache-resident radix-2 pass
+// on the calling thread; larger ones spread each stage over the pool. The
+// prover and keygen already transform many columns at once in their own
+// TaskGroups, and that is where small transforms get their parallelism:
+// splitting one into pool tasks of a few hundred butterflies per stage costs
+// more in scheduling than it saves. Chosen from BM_Fft and BM_CosetFftRound
+// (DESIGN.md §5).
+inline constexpr size_t kSerialFftMaxN = static_cast<size_t>(1) << 13;
 
 // In-place FFT on a power-of-two sized vector. `omega` must be a primitive
 // n-th root of unity. Input and output are in natural order. Builds its own
@@ -75,8 +85,11 @@ class EvaluationDomain {
   // Tables for the extended coset domain of size n << ext_k, built on first
   // use and cached for the lifetime of the domain.
   struct CosetTables {
-    std::vector<Fr> twiddles;      // w_ext^i, i < ext_n/2
-    std::vector<Fr> inv_twiddles;  // w_ext^{-i}, i < ext_n/2
+    // Butterfly twiddles of w_ext and w_ext^{-1}: the powers i < ext_n/2,
+    // as the serial pass's stage table at small sizes (domain.cc,
+    // TwiddleTable).
+    std::vector<Fr> twiddles;
+    std::vector<Fr> inv_twiddles;
     std::vector<Fr> scale;         // g^i, i < ext_n
     std::vector<Fr> inv_scale;     // ext_n^{-1} * g^{-i}, i < ext_n
   };
@@ -88,8 +101,8 @@ class EvaluationDomain {
   Fr omega_inv_;
   Fr n_inv_;
   std::vector<Fr> elements_;
-  // twiddles_[i] = omega^i for i < n/2 (forward transforms);
-  // inv_twiddles_[i] = omega^{-i} (inverse transforms).
+  // Butterfly twiddles of omega (forward transforms) and omega^{-1}
+  // (inverse transforms), laid out as the coset tables' are.
   std::vector<Fr> twiddles_;
   std::vector<Fr> inv_twiddles_;
   mutable std::mutex coset_mu_;

@@ -256,6 +256,101 @@ TEST(ParamsTest, MontMulImplementationsAgree) {
   }
 }
 
+// The branch-free add, sub, neg and double against a reference built from
+// the raw limb primitives and a compare, on raw Montgomery representations:
+// the edge values 0, 1, p-1 and p-2 (pairs among them give sums of p-1, p
+// and p+1, a == b and a = b - 1), then 10^5 random pairs.
+template <typename F>
+void CheckAddSubAgainstReference(uint64_t seed) {
+  const U256& p = F::Ctx().modulus;
+  auto ref_add = [&](const U256& a, const U256& b) {
+    U256 s;
+    const uint64_t carry = AddU256(a, b, &s);
+    if (carry != 0 || CmpU256(s, p) >= 0) {
+      SubU256(s, p, &s);
+    }
+    return s;
+  };
+  auto ref_sub = [&](const U256& a, const U256& b) {
+    U256 d;
+    if (SubU256(a, b, &d) != 0) {
+      AddU256(d, p, &d);
+    }
+    return d;
+  };
+  auto ref_neg = [&](const U256& a) {
+    U256 d;
+    SubU256(p, a, &d);
+    return a.IsZero() ? a : d;
+  };
+  auto check = [&](const U256& a, const U256& b) {
+    const F fa = F::FromMontgomeryForm(a);
+    const F fb = F::FromMontgomeryForm(b);
+    EXPECT_EQ((fa + fb).MontgomeryForm(), ref_add(a, b)) << a.ToHex() << " + " << b.ToHex();
+    EXPECT_EQ((fa - fb).MontgomeryForm(), ref_sub(a, b)) << a.ToHex() << " - " << b.ToHex();
+    EXPECT_EQ(fa.Neg().MontgomeryForm(), ref_neg(a)) << "-" << a.ToHex();
+    EXPECT_EQ(fa.Double().MontgomeryForm(), ref_add(a, a)) << "2*" << a.ToHex();
+  };
+  auto minus = [&](uint64_t k) {
+    U256 r;
+    SubU256(p, U256::FromU64(k), &r);
+    return r;
+  };
+  const U256 half = ShrU256(p, 1);  // (p-1)/2: half + half = p-1
+  U256 half_up;                     // (p+1)/2: half_up + half_up = p+1
+  AddU256(half, U256::FromU64(1), &half_up);
+  const std::vector<U256> edges = {U256::Zero(), U256::FromU64(1), U256::FromU64(2),
+                                   minus(1),     minus(2),          half,
+                                   half_up};
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      check(a, b);
+    }
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 100000; ++i) {
+    check(F::Random(rng).MontgomeryForm(), F::Random(rng).MontgomeryForm());
+  }
+}
+
+TEST(FrTest, AddSubNegDoubleMatchReference) { CheckAddSubAgainstReference<Fr>(31); }
+TEST(FqTest, AddSubNegDoubleMatchReference) { CheckAddSubAgainstReference<Fq>(32); }
+
+// AddU256/SubU256 run on the carry flag where the target has one; pin them
+// to a plain __int128 chain on carries that ripple through every limb.
+TEST(U256Test, CarryChainsMatchWideArithmetic) {
+  auto wide_add = [](const U256& a, const U256& b, U256* r) {
+    unsigned __int128 c = 0;
+    for (int i = 0; i < 4; ++i) {
+      c += static_cast<unsigned __int128>(a.limbs[i]) + b.limbs[i];
+      r->limbs[i] = static_cast<uint64_t>(c);
+      c >>= 64;
+    }
+    return static_cast<uint64_t>(c);
+  };
+  const uint64_t ones = ~uint64_t{0};
+  std::vector<U256> values = {U256::Zero(), U256::FromU64(1), U256{{ones, ones, ones, ones}},
+                              U256{{ones, 0, ones, 0}}, U256{{0, ones, 0, ones}}};
+  Rng rng(33);
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(U256{{rng.NextU64(), rng.NextU64(), rng.NextU64(), rng.NextU64()}});
+  }
+  for (const U256& a : values) {
+    for (const U256& b : {values[0], values[1], values[2], values[3], values[4], values.back()}) {
+      U256 got, want;
+      EXPECT_EQ(AddU256(a, b, &got), wide_add(a, b, &want));
+      EXPECT_EQ(got, want);
+      // a - b == a + ~b + 1, with the borrow the complement of that carry.
+      U256 not_b{{~b.limbs[0], ~b.limbs[1], ~b.limbs[2], ~b.limbs[3]}};
+      U256 t;
+      const uint64_t c1 = wide_add(a, not_b, &t);
+      const uint64_t c2 = wide_add(t, U256::FromU64(1), &want);
+      EXPECT_EQ(SubU256(a, b, &got), 1 - (c1 | c2));
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
 TEST(FrTest, BatchInverseNonZeroMatchesScalar) {
   Rng rng(11);
   for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5}, size_t{37},

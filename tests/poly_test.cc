@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
 #include "src/poly/domain.h"
 #include "src/poly/polynomial.h"
 
@@ -120,6 +121,77 @@ TEST_P(DomainTest, CosetFftMatchesDirectEvaluation) {
 // 10 and 13 cross the ParallelFor serial cutoff and odd/even stage counts;
 // 14 is a size the real prover uses.
 INSTANTIATE_TEST_SUITE_P(Sizes, DomainTest, ::testing::Values(1, 2, 4, 6, 8, 10, 12, 13, 14));
+
+// Around kSerialFftMaxN, where transforms switch between the serial pass and
+// the pool: every transform, forward and inverse, plain and coset, against
+// Horner evaluation at rows spread over the domain.
+TEST(DomainTest, TransformsAroundSerialThresholdMatchDirectEvaluation) {
+  const Fr g = Fr::FromU64(FrParams::kGenerator);
+  const int ext_k = 2;
+  for (size_t n : {kSerialFftMaxN / 2, kSerialFftMaxN, 2 * kSerialFftMaxN}) {
+    int k = 0;
+    while ((static_cast<size_t>(1) << k) < n) {
+      ++k;
+    }
+    EvaluationDomain dom(k);
+    EvaluationDomain coset_base(k - ext_k);  // its coset domain has n points
+    Rng rng(110 + k);
+    std::vector<Fr> v(n);
+    for (Fr& x : v) {
+      x = Fr::Random(rng);
+    }
+    const Poly p(v);
+    const std::vector<Fr> fft = dom.FftFromCoeffs(v);
+    const Poly ifft(dom.IfftToCoeffs(v));
+    const std::vector<Fr> coset = coset_base.CosetFftFromCoeffs(v, ext_k);
+    const Poly coset_ifft(coset_base.CosetIfftToCoeffs(v, ext_k));
+    for (size_t i : {size_t{0}, size_t{1}, size_t{7}, n / 4 + 3, n / 2 - 1, n / 2, n - 1}) {
+      const Fr x = dom.element(i);
+      EXPECT_EQ(fft[i], p.Evaluate(x)) << "n=" << n << " i=" << i;
+      EXPECT_EQ(ifft.Evaluate(x), v[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(coset[i], p.Evaluate(g * x)) << "n=" << n << " i=" << i;
+      EXPECT_EQ(coset_ifft.Evaluate(g * x), v[i]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+// Small transforms take no pool tasks of their own; many at once inside one
+// TaskGroup, as the prover issues them, must equal lone calls.
+TEST(DomainTest, TransformsInsideTaskGroupEqualLoneCalls) {
+  const int ext_k = 2;
+  for (size_t n : {kSerialFftMaxN / 2, kSerialFftMaxN, 2 * kSerialFftMaxN}) {
+    int k = 0;
+    while ((static_cast<size_t>(1) << k) < n) {
+      ++k;
+    }
+    EvaluationDomain dom(k - ext_k);
+    Rng rng(130 + k);
+    constexpr size_t kTasks = 16;
+    std::vector<std::vector<Fr>> coeffs(kTasks, std::vector<Fr>(n));
+    for (std::vector<Fr>& c : coeffs) {
+      for (Fr& x : c) {
+        x = Fr::Random(rng);
+      }
+    }
+    std::vector<std::vector<Fr>> lone(kTasks), grouped(kTasks);
+    for (size_t t = 0; t < kTasks; ++t) {
+      lone[t] = t % 2 == 0 ? dom.CosetFftFromCoeffs(coeffs[t], ext_k)
+                           : dom.CosetIfftToCoeffs(coeffs[t], ext_k);
+    }
+    {
+      TaskGroup group;
+      for (size_t t = 0; t < kTasks; ++t) {
+        group.Submit([&, t] {
+          grouped[t] = t % 2 == 0 ? dom.CosetFftFromCoeffs(coeffs[t], ext_k)
+                                  : dom.CosetIfftToCoeffs(coeffs[t], ext_k);
+        });
+      }
+    }
+    for (size_t t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(grouped[t], lone[t]) << "n=" << n << " task=" << t;
+    }
+  }
+}
 
 // 2^17 is the first size that takes the cache-blocked six-step path; pin its
 // output to the DFT definition (Horner spot-checks) and to the radix-2 path
