@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/cpu_features.h"
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
 #include "src/ec/g1.h"
@@ -26,67 +25,69 @@
 #include "src/tensor/quantizer.h"
 #include "src/zkml/plan.h"
 
+#include "bench/bench_util.h"
+
 namespace zkml {
 namespace {
 
-void BM_FieldMul(benchmark::State& state) {
-  Rng rng(1);
+// `count` columns of `n` random field elements, drawn in order from `seed`.
+std::vector<std::vector<Fr>> RandomColumns(uint64_t seed, size_t count, size_t n) {
+  Rng rng(seed);
+  std::vector<std::vector<Fr>> columns(count, std::vector<Fr>(n));
+  for (std::vector<Fr>& column : columns) {
+    for (Fr& x : column) {
+      x = Fr::Random(rng);
+    }
+  }
+  return columns;
+}
+
+std::vector<Fr> RandomFrs(uint64_t seed, size_t n) {
+  return std::move(RandomColumns(seed, 1, n)[0]);
+}
+
+// 2^k points for the benchmark's first argument k.
+size_t Points(const benchmark::State& state) { return static_cast<size_t>(1) << state.range(0); }
+
+// A dependent chain of one field operation: each result feeds the next. For
+// add and subtract, random operands send the carry and borrow either way
+// about half the time, so a data-dependent branch in either would show here.
+template <typename Op>
+void FieldChain(benchmark::State& state, uint64_t seed, Op op) {
+  Rng rng(seed);
   Fr a = Fr::Random(rng);
   Fr b = Fr::Random(rng);
   for (auto _ : state) {
-    a = a * b;
+    a = op(a, b);
     benchmark::DoNotOptimize(a);
   }
   state.counters["size"] = 1;
 }
+
+void BM_FieldMul(benchmark::State& state) {
+  FieldChain(state, 1, [](const Fr& a, const Fr& b) { return a * b; });
+}
 BENCHMARK(BM_FieldMul);
 
-// Dependent add and subtract chains: each result feeds the next operation,
-// and with random operands the carry and borrow go either way about half the
-// time, so a data-dependent branch in either would show here.
 void BM_FieldAdd(benchmark::State& state) {
-  Rng rng(1);
-  Fr a = Fr::Random(rng);
-  Fr b = Fr::Random(rng);
-  for (auto _ : state) {
-    a = a + b;
-    benchmark::DoNotOptimize(a);
-  }
-  state.counters["size"] = 1;
+  FieldChain(state, 1, [](const Fr& a, const Fr& b) { return a + b; });
 }
 BENCHMARK(BM_FieldAdd);
 
 void BM_FieldSub(benchmark::State& state) {
-  Rng rng(1);
-  Fr a = Fr::Random(rng);
-  Fr b = Fr::Random(rng);
-  for (auto _ : state) {
-    a = a - b;
-    benchmark::DoNotOptimize(a);
-  }
-  state.counters["size"] = 1;
+  FieldChain(state, 1, [](const Fr& a, const Fr& b) { return a - b; });
 }
 BENCHMARK(BM_FieldSub);
 
 void BM_FieldInverse(benchmark::State& state) {
-  Rng rng(2);
-  Fr a = Fr::Random(rng);
-  for (auto _ : state) {
-    a = a.Inverse() + Fr::One();
-    benchmark::DoNotOptimize(a);
-  }
-  state.counters["size"] = 1;
+  FieldChain(state, 2, [](const Fr& a, const Fr&) { return a.Inverse() + Fr::One(); });
 }
 BENCHMARK(BM_FieldInverse);
 
 void BM_Fft(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   EvaluationDomain dom(k);
-  Rng rng(3);
-  std::vector<Fr> coeffs(dom.size());
-  for (Fr& c : coeffs) {
-    c = Fr::Random(rng);
-  }
+  const std::vector<Fr> coeffs = RandomFrs(3, dom.size());
   for (auto _ : state) {
     auto evals = dom.FftFromCoeffs(coeffs);
     benchmark::DoNotOptimize(evals);
@@ -105,13 +106,7 @@ void BM_CosetFftRound(benchmark::State& state) {
   const int ext_n_log = static_cast<int>(state.range(0));
   const int ext_k = 2;
   EvaluationDomain dom(ext_n_log - ext_k);
-  Rng rng(3);
-  std::vector<std::vector<Fr>> coeffs(100, std::vector<Fr>(dom.size()));
-  for (std::vector<Fr>& col : coeffs) {
-    for (Fr& c : col) {
-      c = Fr::Random(rng);
-    }
-  }
+  const std::vector<std::vector<Fr>> coeffs = RandomColumns(3, 100, dom.size());
   std::vector<std::vector<Fr>> out(coeffs.size());
   dom.CosetFftFromCoeffsInto(coeffs[0], ext_k, &out[0]);  // build the coset tables
   for (auto _ : state) {
@@ -129,14 +124,9 @@ void BM_CosetFftRound(benchmark::State& state) {
 BENCHMARK(BM_CosetFftRound)->DenseRange(11, 13, 1)->Unit(benchmark::kMillisecond);
 
 void BM_Msm(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   std::vector<G1Affine> bases = DeriveGenerators(4, n);
-  Rng rng(5);
-  std::vector<Fr> scalars(n);
-  for (Fr& s : scalars) {
-    s = Fr::Random(rng);
-  }
+  const std::vector<Fr> scalars = RandomFrs(5, n);
   for (auto _ : state) {
     G1 r = Msm(bases, scalars);
     benchmark::DoNotOptimize(r);
@@ -146,12 +136,8 @@ void BM_Msm(benchmark::State& state) {
 BENCHMARK(BM_Msm)->DenseRange(8, 16, 1)->Unit(benchmark::kMillisecond);
 
 void BM_LookupBuild(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(1) << state.range(0);
-  Rng rng(6);
-  std::vector<Fr> table(n);
-  for (Fr& v : table) {
-    v = Fr::Random(rng);
-  }
+  const size_t n = Points(state);
+  const std::vector<Fr> table = RandomFrs(6, n);
   for (auto _ : state) {
     std::unordered_map<FrKey, size_t, FrKeyHash> first;
     first.reserve(2 * n);
@@ -181,8 +167,7 @@ BENCHMARK(BM_G1ScalarMul)->Unit(benchmark::kMicrosecond);
 // multiplications plus 2^k scalings, split across the pool. The CI set-up
 // gate compares BM_LagrangeBasis/9 against 2305 x BM_G1ScalarMul.
 void BM_LagrangeBasis(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   const KzgSetup setup = KzgSetup::Create(n, 11);
   for (auto _ : state) {
     std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(setup.powers);
@@ -246,16 +231,8 @@ struct QuotientBench {
     num_chunks = cs.NumPermutationChunks();
     chunk_size = cs.PermutationChunkSize();
 
-    Rng rng(20260806);
-    auto rand_table = [&](size_t count) {
-      std::vector<std::vector<Fr>> t(count, std::vector<Fr>(ext_n));
-      for (auto& col : t) {
-        for (Fr& x : col) {
-          x = Fr::Random(rng);
-        }
-      }
-      return t;
-    };
+    uint64_t seed = 20260806;
+    auto rand_table = [&](size_t count) { return RandomColumns(seed++, count, ext_n); };
     fixed = rand_table(cs.num_fixed_columns());
     advice = rand_table(cs.num_advice_columns());
     instance = rand_table(cs.num_instance_columns());
@@ -264,16 +241,11 @@ struct QuotientBench {
     m = rand_table(1);
     h = rand_table(1);
     s = rand_table(1);
-    l0 = std::vector<Fr>(ext_n);
-    llast = std::vector<Fr>(ext_n);
-    coset_x = std::vector<Fr>(ext_n);
-    zh_inv = std::vector<Fr>(ext_n);
-    for (size_t j = 0; j < ext_n; ++j) {
-      l0[j] = Fr::Random(rng);
-      llast[j] = Fr::Random(rng);
-      coset_x[j] = Fr::Random(rng);
-      zh_inv[j] = Fr::Random(rng);
-    }
+    l0 = rand_table(1)[0];
+    llast = rand_table(1)[0];
+    coset_x = rand_table(1)[0];
+    zh_inv = rand_table(1)[0];
+    Rng rng(seed);
     theta = Fr::Random(rng);
     beta = Fr::Random(rng);
     gamma = Fr::Random(rng);
@@ -444,14 +416,9 @@ BENCHMARK(BM_QuotientLegacy)->DenseRange(12, 16, 2)->Unit(benchmark::kMillisecon
 // --- Commitments from evaluation form vs. interpolate-then-commit ---------
 
 void BM_CommitLagrange(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(n, 11)));
-  Rng rng(8);
-  std::vector<Fr> evals(n);
-  for (Fr& e : evals) {
-    e = Fr::Random(rng);
-  }
+  const std::vector<Fr> evals = RandomFrs(8, n);
   // Warm the Lagrange-basis cache: the G1 FFT is a one-time per-setup cost
   // (paid at keygen in the prover), not a per-commit cost.
   benchmark::DoNotOptimize(pcs.CommitLagrange(evals));
@@ -464,15 +431,10 @@ void BM_CommitLagrange(benchmark::State& state) {
 BENCHMARK(BM_CommitLagrange)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
 
 void BM_CommitViaIfft(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(n, 11)));
-  EvaluationDomain dom(k);
-  Rng rng(8);
-  std::vector<Fr> evals(n);
-  for (Fr& e : evals) {
-    e = Fr::Random(rng);
-  }
+  EvaluationDomain dom(static_cast<int>(state.range(0)));
+  const std::vector<Fr> evals = RandomFrs(8, n);
   for (auto _ : state) {
     PcsCommitment c = pcs.Commit(dom.IfftToCoeffs(evals));
     benchmark::DoNotOptimize(c);
@@ -487,17 +449,10 @@ BENCHMARK(BM_CommitViaIfft)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond
 // parallel threshold each lone MSM runs serially, so only the batch spreads
 // the round over the pool.
 void BM_CommitRound(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
   const bool batched = state.range(1) != 0;
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(n, 11)));
-  Rng rng(8);
-  std::vector<std::vector<Fr>> round(30, std::vector<Fr>(n));
-  for (std::vector<Fr>& v : round) {
-    for (Fr& e : v) {
-      e = Fr::Random(rng);
-    }
-  }
+  const std::vector<std::vector<Fr>> round = RandomColumns(8, 30, n);
   benchmark::DoNotOptimize(pcs.CommitLagrange(round[0]));  // warm the basis cache
   for (auto _ : state) {
     if (batched) {
@@ -519,17 +474,10 @@ BENCHMARK(BM_CommitRound)->Args({9, 0})->Args({9, 1})->Unit(benchmark::kMillisec
 // both run in one process on one pool, so the ratio does not depend on host
 // speed.
 void BM_MsmRound(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   const std::vector<G1Affine> lagrange =
       LagrangeBasesFromMonomial(KzgSetup::Create(n, 11).powers);
-  Rng rng(8);
-  std::vector<std::vector<Fr>> round(30, std::vector<Fr>(n));
-  for (std::vector<Fr>& v : round) {
-    for (Fr& e : v) {
-      e = Fr::Random(rng);
-    }
-  }
+  const std::vector<std::vector<Fr>> round = RandomColumns(8, 30, n);
   std::vector<G1> out(round.size());
   for (auto _ : state) {
     {
@@ -560,16 +508,11 @@ size_t MtThreads() {
 }
 
 void BM_MsmMt(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const size_t n = static_cast<size_t>(1) << k;
+  const size_t n = Points(state);
   const size_t threads = MtThreads();
   ThreadPool pool(threads);
   std::vector<G1Affine> bases = DeriveGenerators(4, n);
-  Rng rng(5);
-  std::vector<Fr> scalars(n);
-  for (Fr& s : scalars) {
-    s = Fr::Random(rng);
-  }
+  const std::vector<Fr> scalars = RandomFrs(5, n);
   const size_t chunk = (n + threads - 1) / threads;
   for (auto _ : state) {
     // Partial MSMs over contiguous slices, summed at the end: the natural
@@ -606,13 +549,7 @@ void BM_FftMt(benchmark::State& state) {
   const size_t threads = MtThreads();
   ThreadPool pool(threads);
   EvaluationDomain dom(k);
-  Rng rng(3);
-  std::vector<std::vector<Fr>> coeffs(threads, std::vector<Fr>(dom.size()));
-  for (auto& per_thread : coeffs) {
-    for (Fr& c : per_thread) {
-      c = Fr::Random(rng);
-    }
-  }
+  const std::vector<std::vector<Fr>> coeffs = RandomColumns(3, threads, dom.size());
   for (auto _ : state) {
     TaskGroup group(pool);
     for (size_t t = 0; t < threads; ++t) {
@@ -628,6 +565,36 @@ void BM_FftMt(benchmark::State& state) {
 }
 BENCHMARK(BM_FftMt)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
 
+// Proves `batch` inferences of a zoo model under plan {shards, batch} once per
+// iteration; the size counter is the compiled plan's shards times its batch.
+// Returns the last proof's seconds, or 0 after skipping the run.
+double ProveEachIteration(benchmark::State& state, const char* zoo_name, size_t shards,
+                          size_t batch) {
+  const Model model = MakeZooModel(zoo_name);
+  StatusOr<CompiledPlan> compiled = CompilePlan(model, {shards, batch});
+  if (!compiled.ok()) {
+    state.SkipWithError(compiled.status().ToString().c_str());
+    return 0;
+  }
+  std::vector<Tensor<int64_t>> inputs_q;
+  for (size_t i = 0; i < batch; ++i) {
+    inputs_q.push_back(QuantizeTensor(SyntheticInput(model, 7 + i), model.quant));
+  }
+  double seconds = 0;
+  for (auto _ : state) {
+    StatusOr<PlanProof> proof = ProvePlan(*compiled, inputs_q);
+    if (!proof.ok()) {
+      state.SkipWithError(proof.status().ToString().c_str());
+      return 0;
+    }
+    seconds = proof->prove_seconds;
+    benchmark::DoNotOptimize(proof->artifact.proofs.size());
+  }
+  state.counters["size"] = static_cast<double>(compiled->plan.shards * compiled->plan.batch);
+  state.counters["threads"] = static_cast<double>(ThreadPool::Global().num_threads());
+  return seconds;
+}
+
 // --- End-to-end sharded proving (graph partition + parallel shard proofs) --
 //
 // One full prove of a zoo model at 1/2/4/8 requested shards (clamped to what
@@ -637,24 +604,7 @@ BENCHMARK(BM_FftMt)->DenseRange(10, 14, 2)->Unit(benchmark::kMillisecond);
 // schedulable CPUs — on a 1-CPU runner the sharded series measures overhead,
 // not speedup (see DESIGN.md §13).
 void BM_ProveModel(benchmark::State& state, const char* zoo_name) {
-  const size_t requested = static_cast<size_t>(state.range(0));
-  const Model model = MakeZooModel(zoo_name);
-  StatusOr<CompiledPlan> compiled = CompilePlan(model, {requested, 1});
-  if (!compiled.ok()) {
-    state.SkipWithError(compiled.status().ToString().c_str());
-    return;
-  }
-  const Tensor<int64_t> input = QuantizeTensor(SyntheticInput(model, 7), model.quant);
-  for (auto _ : state) {
-    StatusOr<PlanProof> proof = ProvePlan(*compiled, {input});
-    if (!proof.ok()) {
-      state.SkipWithError(proof.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(proof->artifact.proofs.size());
-  }
-  state.counters["size"] = static_cast<double>(compiled->plan.shards);
-  state.counters["threads"] = static_cast<double>(ThreadPool::Global().num_threads());
+  ProveEachIteration(state, zoo_name, static_cast<size_t>(state.range(0)), 1);
 }
 BENCHMARK_CAPTURE(BM_ProveModel, mnist, "mnist")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
@@ -671,29 +621,8 @@ BENCHMARK_CAPTURE(BM_ProveModel, vgg16, "vgg16")
 // record the baseline the CI perf-smoke per-inference gate divides by.
 void BM_ProveBatched(benchmark::State& state, const char* zoo_name) {
   const size_t batch = static_cast<size_t>(state.range(0));
-  const Model model = MakeZooModel(zoo_name);
-  StatusOr<CompiledPlan> compiled = CompilePlan(model, {1, batch});
-  if (!compiled.ok()) {
-    state.SkipWithError(compiled.status().ToString().c_str());
-    return;
-  }
-  std::vector<Tensor<int64_t>> inputs_q;
-  for (size_t i = 0; i < batch; ++i) {
-    inputs_q.push_back(QuantizeTensor(SyntheticInput(model, 7 + i), model.quant));
-  }
-  double s_per_inf = 0;
-  for (auto _ : state) {
-    StatusOr<PlanProof> proof = ProvePlan(*compiled, inputs_q);
-    if (!proof.ok()) {
-      state.SkipWithError(proof.status().ToString().c_str());
-      return;
-    }
-    s_per_inf = proof->prove_seconds / static_cast<double>(batch);
-    benchmark::DoNotOptimize(proof->artifact.proofs.size());
-  }
-  state.counters["size"] = static_cast<double>(batch);
-  state.counters["s_per_inf"] = s_per_inf;
-  state.counters["threads"] = static_cast<double>(ThreadPool::Global().num_threads());
+  state.counters["s_per_inf"] =
+      ProveEachIteration(state, zoo_name, 1, batch) / static_cast<double>(batch);
 }
 BENCHMARK_CAPTURE(BM_ProveBatched, mnist, "mnist")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
@@ -810,44 +739,18 @@ class JsonCollectingReporter : public benchmark::ConsoleReporter {
     ConsoleReporter::ReportRuns(runs);
   }
 
-  // The dump carries the host it was measured on: perf numbers from
-  // different CPUs are not comparable, and the CI regression gate uses the
-  // stamp to decide between an absolute delta check (same CPU model as the
-  // committed baseline) and a weaker ratio-only check.
+  // The dump carries the host it was measured on (WriteBenchJson, bench_util.h).
   bool WriteJson(const char* path, size_t threads) const {
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      return false;
+    std::vector<std::string> lines;
+    for (const Record& r : records_) {
+      char buf[512];
+      std::snprintf(buf, sizeof(buf),
+                    "{\"op\": \"%s\", \"size\": %llu, \"seconds\": %.9g, \"threads\": %zu}",
+                    r.op.c_str(), static_cast<unsigned long long>(r.size), r.seconds,
+                    r.threads != 0 ? r.threads : threads);
+      lines.push_back(buf);
     }
-    const CpuFeatures& cpu = CpuFeatures::Get();
-    std::string model = cpu.cpu_model;
-    for (char& c : model) {
-      if (c == '"' || c == '\\') {
-        c = ' ';  // CPUID brand strings never contain these; stay safe anyway
-      }
-    }
-    // num_cpus is the machine (hardware_concurrency); affinity_cpus is what
-    // the process may schedule on (and what the global pool sizes from).
-    // Earlier dumps wrote the affinity count as num_cpus, which on a
-    // CPU-restricted runner stamped "num_cpus": 1 for a many-core machine.
-    const unsigned hc = std::thread::hardware_concurrency();
-    std::fprintf(f, "{\n  \"host\": {\"cpu_model\": \"%s\", \"num_cpus\": %u, "
-                 "\"affinity_cpus\": %zu, "
-                 "\"simd\": \"%s\", \"git_sha\": \"%s\", \"threads\": %zu},\n",
-                 model.c_str(), hc == 0 ? 1u : hc, cpu.num_cpus, cpu.Summary().c_str(),
-                 ZKML_GIT_SHA, threads);
-    std::fprintf(f, "  \"results\": [\n");
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      std::fprintf(f,
-                   "    {\"op\": \"%s\", \"size\": %llu, \"seconds\": %.9g, \"threads\": %zu}%s\n",
-                   r.op.c_str(), static_cast<unsigned long long>(r.size), r.seconds,
-                   r.threads != 0 ? r.threads : threads,
-                   i + 1 < records_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
+    return WriteBenchJson(path, "", "results", lines);
   }
 
  private:
@@ -864,12 +767,7 @@ int main(int argc, char** argv) {
   }
   zkml::JsonCollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  const char* path = "BENCH_primitives.json";
-  if (reporter.WriteJson(path, zkml::ThreadPool::Global().num_threads())) {
-    std::fprintf(stderr, "wrote %s\n", path);
-  } else {
-    std::fprintf(stderr, "failed to write %s\n", path);
-  }
+  reporter.WriteJson("BENCH_primitives.json", zkml::ThreadPool::Global().num_threads());
   benchmark::Shutdown();
   return 0;
 }
