@@ -1,6 +1,7 @@
 #include "src/ec/g1.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/base/check.h"
 #include "src/base/kernel_stats.h"
@@ -353,8 +354,9 @@ void SignedDigits(const U256& e, int c, int num_windows, int16_t* out, size_t st
       carry = 0;
     }
   }
-  // The top window cannot carry out: e < 2^kGlvBits and the windows cover at
-  // least kGlvBits + 1 bits, so the final raw value is at most 2^{c-1}.
+  // The top window cannot carry out: callers cover at least one bit more than
+  // e has (kGlvBits + 1 for a GLV half, 256 for MulGenerator's canonical
+  // scalars), so the final raw value is at most 2^{c-1}.
 }
 
 // Reusable structure-of-arrays scratch for ReduceBucketChains: one slot per
@@ -1049,6 +1051,86 @@ G1 FixedBaseTable::Msm(const Fr* scalars, size_t n) const {
     acc += running;
   }
   return acc;
+}
+
+namespace {
+
+// MulGenerator's windows: signed 8-bit digits in [-128, 128], and 32 windows
+// cover a canonical scalar's 254 bits with room for the last carry.
+constexpr int kGeneratorWindowBits = 8;
+constexpr int kGeneratorWindows = 32;
+constexpr size_t kGeneratorDigits = size_t{1} << (kGeneratorWindowBits - 1);
+
+std::atomic<size_t> generator_table_builds{0};
+
+// Entry w * kGeneratorDigits + (d - 1) is d * 2^{8w} * G. The static guard
+// makes a racing first caller wait for the build; the builder's
+// ParallelForHeavy helps only its own chunks, so a pool worker blocked on
+// the guard cannot stall it.
+const std::vector<G1Affine>& GeneratorTable() {
+  static const std::vector<G1Affine> table = [] {
+    // 2^{8w} * G for every window: 248 doublings in one chain, then one
+    // shared inversion.
+    std::vector<G1> jac(kGeneratorWindows);
+    jac[0] = G1::Generator();
+    for (int w = 1; w < kGeneratorWindows; ++w) {
+      jac[w] = jac[w - 1];
+      for (int b = 0; b < kGeneratorWindowBits; ++b) {
+        jac[w] = jac[w].Double();
+      }
+    }
+    std::vector<G1Affine> window_bases(kGeneratorWindows);
+    G1::BatchToAffine(jac.data(), jac.size(), window_bases.data());
+    std::vector<G1Affine> t(kGeneratorWindows * kGeneratorDigits);
+    ParallelForHeavy(0, kGeneratorWindows, [&](size_t lo, size_t hi) {
+      std::vector<G1> multiples(kGeneratorDigits);
+      for (size_t w = lo; w < hi; ++w) {
+        multiples[0] = G1::FromAffine(window_bases[w]);
+        for (size_t d = 1; d < kGeneratorDigits; ++d) {
+          multiples[d] = multiples[d - 1].AddMixed(window_bases[w]);
+        }
+        G1::BatchToAffine(multiples.data(), kGeneratorDigits, &t[w * kGeneratorDigits]);
+      }
+    });
+    generator_table_builds.fetch_add(1, std::memory_order_relaxed);
+    return t;
+  }();
+  return table;
+}
+
+}  // namespace
+
+namespace internal {
+
+size_t GeneratorTableBuilds() { return generator_table_builds.load(std::memory_order_relaxed); }
+
+}  // namespace internal
+
+std::vector<G1Affine> MulGenerator(const std::vector<Fr>& scalars) {
+  const std::vector<G1Affine>& table = GeneratorTable();
+  std::vector<G1Affine> out(scalars.size());
+  ParallelForHeavy(0, scalars.size(), [&](size_t lo, size_t hi) {
+    std::vector<G1> products(hi - lo);
+    int16_t digits[kGeneratorWindows];
+    for (size_t i = lo; i < hi; ++i) {
+      SignedDigits(scalars[i].ToCanonical(), kGeneratorWindowBits, kGeneratorWindows, digits, 1);
+      G1 acc;
+      for (int w = 0; w < kGeneratorWindows; ++w) {
+        const int d = digits[w];
+        if (d == 0) {
+          continue;
+        }
+        G1Affine p = table[w * kGeneratorDigits + static_cast<size_t>(d < 0 ? -d : d) - 1];
+        if (d < 0) {
+          p.y = p.y.Neg();
+        }
+        acc = acc.AddMixed(p);
+      }
+      products[i - lo] = acc;
+    }
+    G1::BatchToAffine(products.data(), products.size(), out.data() + lo);
+  });
+  return out;
 }
 
 std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bases) {

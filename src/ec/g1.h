@@ -128,7 +128,21 @@ G1 MsmImpl(const G1Affine* bases, const Fr* scalars, size_t n, int c, size_t num
 // reference for ScalarMul.
 G1 ScalarMulWindowed(const G1& p, const Fr& s);
 
+// How many times this process has built MulGenerator's table: 0 before the
+// first call, 1 after.
+size_t GeneratorTableBuilds();
+
 }  // namespace internal
+
+// [s_i]G for every scalar, in affine form, G the generator. Every product
+// reads one process-wide fixed-base table of G: d * 2^{8w} * G for the signed
+// 8-bit digits d in [1, 128] of the 32 windows that cover a scalar (4096
+// points, ~300 KB), built once, in parallel, on first use. A product is then
+// at most 32 mixed additions, against ScalarMul's ~130 doublings and ~45
+// additions. The scalars split into ParallelForHeavy chunks that each
+// normalize with one BatchToAffine. KZG's set-up derives its powers of tau
+// and its Lagrange bases through this call.
+std::vector<G1Affine> MulGenerator(const std::vector<Fr>& scalars);
 
 // Transforms monomial-basis commitment bases G_i into Lagrange-basis bases
 // for the radix-2 domain of size n = bases.size() (a power of two):
@@ -139,7 +153,9 @@ G1 ScalarMulWindowed(const G1& p, const Fr& s);
 // lets the prover commit straight from evaluation form. One-time setup work:
 // at n = 2^k it costs (k - 2) * n/2 + 1 twiddle scalar multiplications plus n
 // scalings by 1/n; each FFT stage and the scaling pass split their elements
-// into per-thread chunks (ParallelForHeavy) at every n.
+// into per-thread chunks (ParallelForHeavy) at every n. IPA's structureless
+// Pedersen bases are its only user: KZG knows its bases as [tau^i]G and
+// forms [L_j(tau)]G directly (KzgSetup::LagrangeBasis).
 std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bases);
 
 // Deterministically derives `count` independent curve points ("nothing up my

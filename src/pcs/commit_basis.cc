@@ -16,11 +16,8 @@ CommitBasis CommitBasisCache::Monomial(const std::vector<G1Affine>& monomial_bas
   return {monomial_bases.data(), Table(/*lagrange=*/false, monomial_bases)};
 }
 
-CommitBasis CommitBasisCache::Lagrange(const std::vector<G1Affine>& monomial_bases,
-                                       size_t n) const {
-  ZKML_CHECK_MSG(n != 0 && (n & (n - 1)) == 0,
-                 "Lagrange commitment size must be a power of two");
-  ZKML_CHECK_MSG(n <= monomial_bases.size(), "Lagrange commitment size exceeds setup");
+CommitBasis CommitBasisCache::Lagrange(
+    size_t n, const std::function<std::vector<G1Affine>(size_t)>& build) const {
   const std::vector<G1Affine>* points = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -30,17 +27,17 @@ CommitBasis CommitBasisCache::Lagrange(const std::vector<G1Affine>& monomial_bas
     }
   }
   if (points == nullptr) {
-    // Build WITHOUT holding the mutex: the G1 FFT runs ParallelFor, and a
-    // thread helping the pool can steal a task that re-enters this function —
-    // holding the lock there would self-deadlock (same discipline as the
-    // domain's coset tables). A racing builder's copy is discarded by
-    // emplace; the values are identical.
+    // Build WITHOUT holding the mutex: both backends' builds run on the
+    // pool, and a thread helping the pool can steal a task that re-enters
+    // this function — holding the lock there would self-deadlock (same
+    // discipline as the domain's coset tables). A racing builder's copy is
+    // discarded by emplace; the values are identical.
     static obs::Counter& builds =
         obs::MetricsRegistry::Global().counter("pcs.lagrange_basis_builds");
     builds.Increment();
     obs::Span span("lagrange-basis-build");
-    std::vector<G1Affine> prefix(monomial_bases.begin(), monomial_bases.begin() + n);
-    std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(prefix);
+    std::vector<G1Affine> lagrange = build(n);
+    ZKML_CHECK(lagrange.size() == n);
     std::lock_guard<std::mutex> lock(mu_);
     points = &lagrange_.emplace(n, std::move(lagrange)).first->second;
   }

@@ -1,13 +1,16 @@
 // Per-backend home of every commitment basis and its fixed-base table: the
 // monomial bases (the backend's setup) and one Lagrange basis per domain
-// size. The Lagrange transform (a G1 inverse FFT of the monomial bases — see
-// LagrangeBasesFromMonomial) and the tables are setup-class work: each runs
-// once per (setup, basis, size), at keygen or a first commit in practice,
-// and lives as long as the cache, i.e. its Pcs.
+// size. The cache does not know how a Lagrange basis is made: it asks its
+// backend (Pcs::LagrangeBasis — KZG evaluates the Lagrange polynomials at its
+// trapdoor, IPA runs a G1 inverse FFT of its Pedersen bases). Those bases
+// and the tables are setup-class work: each is built once per (setup, basis,
+// size), at keygen or a first commit in practice, and lives as long as the
+// cache, i.e. its Pcs.
 #ifndef SRC_PCS_COMMIT_BASIS_H_
 #define SRC_PCS_COMMIT_BASIS_H_
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -36,9 +39,10 @@ class CommitBasisCache {
   // setup does).
   CommitBasis Monomial(const std::vector<G1Affine>& monomial_bases) const;
 
-  // Lagrange bases for the size-n prefix of `monomial_bases`. n must be a
-  // power of two no larger than monomial_bases.size().
-  CommitBasis Lagrange(const std::vector<G1Affine>& monomial_bases, size_t n) const;
+  // The Lagrange bases of the size-n domain: build(n) the first time n is
+  // asked for, the cached points after that.
+  CommitBasis Lagrange(size_t n,
+                       const std::function<std::vector<G1Affine>(size_t)>& build) const;
 
  private:
   // The table of `points`, kept under (lagrange, size) and built on first

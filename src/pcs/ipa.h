@@ -29,6 +29,12 @@ class IpaPcs : public Pcs {
 
   PcsKind kind() const override { return PcsKind::kIpa; }
   const std::vector<G1Affine>& bases() const override { return setup_->g; }
+  // Pedersen bases have no trapdoor to evaluate at, so the size-n basis is
+  // the G1 inverse FFT of the first n bases.
+  std::vector<G1Affine> LagrangeBasis(size_t n) const override {
+    return LagrangeBasesFromMonomial(
+        std::vector<G1Affine>(setup_->g.begin(), setup_->g.begin() + n));
+  }
 
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;

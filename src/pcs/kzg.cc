@@ -1,11 +1,11 @@
 #include "src/pcs/kzg.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 #include <unordered_map>
 
 #include "src/base/check.h"
-#include "src/base/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/plonk/proof_io.h"
@@ -17,26 +17,41 @@ KzgSetup KzgSetup::Create(size_t max_len, uint64_t seed) {
   Rng rng(seed);
   KzgSetup setup;
   setup.tau = Fr::Random(rng);
-  setup.powers.resize(max_len);
-  // powers[i] = tau^i * G: one scalar multiplication per power, split into
-  // per-thread chunks that each normalize with one shared inversion. This is
-  // part of every compile's set-up time (a real deployment would load
-  // ceremony output instead).
+  // powers[i] = tau^i * G. This is part of every compile's set-up time (a
+  // real deployment would load ceremony output instead).
   std::vector<Fr> tau_pows(max_len);
   Fr tau_i = Fr::One();
   for (size_t i = 0; i < max_len; ++i) {
     tau_pows[i] = tau_i;
     tau_i *= setup.tau;
   }
-  const G1 g = G1::Generator();
-  ParallelForHeavy(0, max_len, [&](size_t lo, size_t hi) {
-    std::vector<G1> powers(hi - lo);
-    for (size_t i = lo; i < hi; ++i) {
-      powers[i - lo] = g.ScalarMul(tau_pows[i]);
-    }
-    G1::BatchToAffine(powers.data(), powers.size(), setup.powers.data() + lo);
-  });
+  setup.powers = MulGenerator(tau_pows);
   return setup;
+}
+
+std::vector<G1Affine> KzgSetup::LagrangeBasis(size_t n) const {
+  ZKML_CHECK_MSG(std::has_single_bit(n), "Lagrange basis size must be a power of two");
+  ZKML_CHECK_MSG(n <= powers.size(), "Lagrange basis size exceeds setup");
+  // tau^n == 1 exactly when tau is a point of the domain (probability
+  // n/|Fr|), where the formula divides by zero.
+  const Fr vanishing = tau.Pow(n) - Fr::One();
+  ZKML_CHECK_MSG(!vanishing.IsZero(), "KZG trapdoor lies on the Lagrange domain");
+  const Fr omega = FrRootOfUnity(std::countr_zero(n));
+  const Fr n_fr = Fr::FromU64(n);
+  std::vector<Fr> omega_pows(n);
+  std::vector<Fr> scalars(n);
+  Fr omega_i = Fr::One();
+  for (size_t i = 0; i < n; ++i) {
+    omega_pows[i] = omega_i;
+    scalars[i] = n_fr * (tau - omega_i);
+    omega_i *= omega;
+  }
+  std::vector<Fr> scratch;
+  BatchInverseNonZero(scalars.data(), n, scratch);
+  for (size_t i = 0; i < n; ++i) {
+    scalars[i] *= omega_pows[i] * vanishing;
+  }
+  return MulGenerator(scalars);
 }
 
 void KzgPcs::OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,

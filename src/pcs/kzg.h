@@ -26,8 +26,20 @@ struct KzgSetup {
   // Local (insecure, test/benchmark-only) setup. The real system uses the
   // Perpetual Powers of Tau ceremony output. The trapdoor is drawn from the
   // seed before the powers, so setups sharing a seed share tau regardless of
-  // max_len — per-shard setups of different sizes aggregate soundly.
+  // max_len — per-shard setups of different sizes aggregate soundly. The
+  // powers are max_len products of the one generator G, computed in one
+  // MulGenerator call from its process-wide fixed-base table.
   static KzgSetup Create(size_t max_len, uint64_t seed);
+
+  // The Lagrange bases [L_i(tau)]G of the radix-2 domain of size n (a power
+  // of two, <= powers.size()), formed from the trapdoor as halo2's
+  // ParamsKZG::setup forms its g_lagrange:
+  //   L_i(tau) = omega^i (tau^n - 1) / (n (tau - omega^i)),
+  // one batch inversion for the n denominators, then one MulGenerator call.
+  // The points equal LagrangeBasesFromMonomial of the size-n prefix of
+  // `powers` (the same group elements, so the same bytes) at the cost of n
+  // generator products instead of a G1 inverse FFT.
+  std::vector<G1Affine> LagrangeBasis(size_t n) const;
 };
 
 // One opening batch's claim, kept as its terms so that any number of claims
@@ -97,6 +109,9 @@ class KzgPcs : public Pcs {
 
   PcsKind kind() const override { return PcsKind::kKzg; }
   const std::vector<G1Affine>& bases() const override { return setup_->powers; }
+  std::vector<G1Affine> LagrangeBasis(size_t n) const override {
+    return setup_->LagrangeBasis(n);
+  }
 
   void OpenBatch(const std::vector<const std::vector<Fr>*>& polys, const Fr& point,
                  Transcript* transcript, std::vector<uint8_t>* proof_out) const override;

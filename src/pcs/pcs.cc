@@ -62,11 +62,14 @@ std::vector<PcsCommitment> Pcs::Commit(const std::vector<const std::vector<Fr>*>
 std::vector<PcsCommitment> Pcs::CommitLagrange(
     const std::vector<const std::vector<Fr>*>& evals) const {
   CommitCounter(kind(), /*lagrange=*/true).Increment(evals.size());
-  // The commitment is linear in the bases, so the IFFT-transpose transform
-  // applies to the structureless Pedersen bases as much as to KZG's powers.
+  const auto build = [this](size_t n) { return LagrangeBasis(n); };
   std::vector<CommitBasis> lagrange(evals.size());
   for (size_t i = 0; i < evals.size(); ++i) {
-    lagrange[i] = basis_cache_.Lagrange(bases(), evals[i]->size());
+    const size_t n = evals[i]->size();
+    ZKML_CHECK_MSG(n != 0 && (n & (n - 1)) == 0,
+                   "Lagrange commitment size must be a power of two");
+    ZKML_CHECK_MSG(n <= max_len(), "Lagrange commitment size exceeds setup");
+    lagrange[i] = basis_cache_.Lagrange(n, build);
   }
   return MsmBatch(lagrange, evals);
 }

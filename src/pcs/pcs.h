@@ -62,6 +62,13 @@ class Pcs {
   virtual const std::vector<G1Affine>& bases() const = 0;
   // Maximum number of coefficients a committed polynomial may have.
   size_t max_len() const { return bases().size(); }
+  // The Lagrange bases of the radix-2 domain of size n (a power of two,
+  // <= max_len()): the points L with commit(evals, L) equal to
+  // commit(IfftToCoeffs(evals), bases()). KZG forms [L_i(tau)]G from its
+  // trapdoor (KzgSetup::LagrangeBasis); IPA transforms its Pedersen bases by
+  // a G1 inverse FFT (LagrangeBasesFromMonomial). Setup-class work:
+  // CommitLagrange asks once per size and caches the answer.
+  virtual std::vector<G1Affine> LagrangeBasis(size_t n) const = 0;
 
   // Commits to each coefficient vector in `polys`; result i belongs to
   // polys[i]. The K MSMs run as one task group on the global pool — each
@@ -76,12 +83,13 @@ class Pcs {
 
   // Commits to each polynomial whose evaluations over the radix-2 domain of
   // size evals[i]->size() (a power of two, <= max_len()) are *evals[i],
-  // without an iFFT: the MSM runs against a Lagrange-basis SRS derived once
-  // per size by a G1 inverse FFT of the monomial bases and cached. The bases
-  // and tables are fetched on the calling thread before the MSMs fan out, so
-  // a cold cache builds each size exactly once. Every returned point is
-  // bit-identical to Commit(IfftToCoeffs(evals)) — both are the same group
-  // element and affine serialization is canonical.
+  // without an iFFT: the MSM runs against the backend's LagrangeBasis of
+  // that size, built once per size and cached (KZG from its trapdoor, IPA
+  // by a G1 inverse FFT). The bases and tables are fetched on the calling
+  // thread before the MSMs fan out, so a cold cache builds each size exactly
+  // once. Every returned point is bit-identical to
+  // Commit(IfftToCoeffs(evals)) — both are the same group element and affine
+  // serialization is canonical.
   std::vector<PcsCommitment> CommitLagrange(
       const std::vector<const std::vector<Fr>*>& evals) const;
   PcsCommitment CommitLagrange(const std::vector<Fr>& evals) const;

@@ -9,6 +9,8 @@
 #include <thread>
 
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
+#include "src/ec/g1.h"
 #include "src/layers/quant_executor.h"
 #include "src/model/zoo.h"
 #include "src/obs/metrics.h"
@@ -65,6 +67,71 @@ TEST(ConcurrentPcsTest, ColdPcsKeepsOneTablePerBasis) {
     EXPECT_TRUE(monomial[t] == want_monomial) << "thread " << t;
   }
   EXPECT_EQ(tables.Value() - before, 2u);
+}
+
+// One cold start: a fresh KZG setup (its powers come from the generator's
+// fixed-base table), a fresh backend and its first Lagrange commit, which
+// builds the 2^9 Lagrange basis from the same table.
+PcsCommitment ColdKzgLagrangeCommit(const std::vector<Fr>& evals) {
+  const KzgPcs pcs(std::make_shared<KzgSetup>(KzgSetup::Create(512, 21)));
+  return pcs.CommitLagrange(evals);
+}
+
+std::vector<std::vector<Fr>> RandomVectors(uint64_t seed, size_t count, size_t n) {
+  Rng rng(seed);
+  std::vector<std::vector<Fr>> vecs(count, std::vector<Fr>(n));
+  for (std::vector<Fr>& v : vecs) {
+    for (Fr& e : v) {
+      e = Fr::Random(rng);
+    }
+  }
+  return vecs;
+}
+
+// After the cold starts: the generator's table was built once in this
+// process, and every commitment equals a solo call's on a warm table.
+void ExpectColdStartsMatchWarm(const std::vector<std::vector<Fr>>& vecs,
+                               const std::vector<PcsCommitment>& cold) {
+  EXPECT_EQ(internal::GeneratorTableBuilds(), 1u);
+  const KzgPcs warm(std::make_shared<KzgSetup>(KzgSetup::Create(512, 21)));
+  for (size_t i = 0; i < vecs.size(); ++i) {
+    EXPECT_TRUE(cold[i] == warm.CommitLagrange(vecs[i])) << "cold start " << i;
+  }
+}
+
+// Eight cold starts as sibling tasks of one TaskGroup. In a fresh process
+// they race to build the generator's table, whose builder runs
+// ParallelForHeavy inside a static-init guard while other pool workers block
+// on that guard: the builder must finish its own chunks rather than wait on
+// the blocked workers. The suite name puts it in the tsan CI configuration.
+TEST(ConcurrentPcsTest, ColdKzgStartsInOneTaskGroup) {
+  const std::vector<std::vector<Fr>> vecs = RandomVectors(24, 8, 512);
+  std::vector<PcsCommitment> cold(vecs.size());
+  {
+    TaskGroup group;
+    for (size_t i = 0; i < vecs.size(); ++i) {
+      group.Submit([&, i] { cold[i] = ColdKzgLagrangeCommit(vecs[i]); });
+    }
+  }
+  ExpectColdStartsMatchWarm(vecs, cold);
+}
+
+// The same eight cold starts, two each on four threads outside the pool.
+TEST(ConcurrentPcsTest, ColdKzgStartsOnFourThreads) {
+  const std::vector<std::vector<Fr>> vecs = RandomVectors(25, 8, 512);
+  std::vector<PcsCommitment> cold(vecs.size());
+  std::thread threads[4];
+  for (size_t t = 0; t < 4; ++t) {
+    threads[t] = std::thread([&, t] {
+      for (size_t i = 2 * t; i < 2 * t + 2; ++i) {
+        cold[i] = ColdKzgLagrangeCommit(vecs[i]);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  ExpectColdStartsMatchWarm(vecs, cold);
 }
 
 TEST(ConcurrentProveTest, TwoBackendsProvedSimultaneously) {

@@ -326,6 +326,46 @@ TEST(LagrangeBasisTest, MatchesDefinition) {
   }
 }
 
+// MulGenerator reads the fixed-base table of G; every product must equal the
+// GLV scalar multiplication, at the scalars whose signed 8-bit digits sit at
+// the edges (zero, the top of the range, a lone high bit) and at random ones.
+TEST(MulGeneratorTest, MatchesScalarMul) {
+  const Fr two = Fr::FromU64(2);
+  const Fr r_minus_1 = Fr::Zero() - Fr::One();
+  std::vector<Fr> scalars = {Fr::Zero(),          Fr::One(),    two,         r_minus_1,
+                             Glv::Get().lambda(), two.Pow(128), two.Pow(253)};
+  Rng rng(404);
+  for (int i = 0; i < 200; ++i) {
+    scalars.push_back(Fr::Random(rng));
+  }
+  const std::vector<G1Affine> got = MulGenerator(scalars);
+  ASSERT_EQ(got.size(), scalars.size());
+  for (size_t i = 0; i < scalars.size(); ++i) {
+    EXPECT_EQ(got[i], G1::Generator().ScalarMul(scalars[i]).ToAffine()) << "i=" << i;
+  }
+  EXPECT_TRUE(got[0].infinity);
+  EXPECT_EQ(internal::GeneratorTableBuilds(), 1u);
+}
+
+// Lengths that leave a short last chunk (and fewer scalars than chunks) must
+// fill every slot; an empty vector gives an empty result.
+TEST(MulGeneratorTest, EmptyAndUnevenLengths) {
+  EXPECT_TRUE(MulGenerator({}).empty());
+  Rng rng(405);
+  for (size_t n : {size_t{1}, size_t{3}, size_t{37}, size_t{101}}) {
+    std::vector<Fr> scalars(n);
+    for (Fr& s : scalars) {
+      s = Fr::Random(rng);
+    }
+    const std::vector<G1Affine> got = MulGenerator(scalars);
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], G1::Generator().ScalarMul(scalars[i]).ToAffine())
+          << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(DeriveGeneratorsTest, DeterministicAndOnCurve) {
   auto a = DeriveGenerators(42, 16);
   auto b = DeriveGenerators(42, 16);

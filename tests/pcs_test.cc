@@ -280,6 +280,21 @@ TEST(KzgTest, SetupPowersAreTauPowersOfG) {
   }
 }
 
+// The Lagrange bases KZG forms from its trapdoor must be the G1 inverse FFT
+// of its powers, byte for byte, at every size up to the whole setup.
+TEST(KzgTest, LagrangeBasisFromTauEqualsFftOfPowers) {
+  const KzgSetup setup = KzgSetup::Create(2048, 23);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{64}, size_t{512}, size_t{2048}}) {
+    const std::vector<G1Affine> fft = LagrangeBasesFromMonomial(
+        std::vector<G1Affine>(setup.powers.begin(), setup.powers.begin() + n));
+    const std::vector<G1Affine> direct = setup.LagrangeBasis(n);
+    ASSERT_EQ(direct.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(direct[i].Serialize(), fft[i].Serialize()) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 // A one-term claim that opens C = ((tau - z)·a + y)·G to y at z with witness
 // W = a·G, except that y* is off by `error`: its residual
 // C* - y*·G - (tau - z)·W is -error·G.
