@@ -56,6 +56,17 @@ ZkmlClient MustConnect(const ZkmlServer& server) {
   return std::move(*client);
 }
 
+// Polls `done` every millisecond for up to 10 s. Tests that must line jobs
+// up behind a busy worker wait on server state instead of sleeping a fixed
+// time: compile and proof times vary by host and shrink as the prover gets
+// faster.
+template <typename Done>
+void WaitUntil(const Done& done) {
+  for (int ms = 0; ms < 10000 && !done(); ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ServeTest, PingProveRoundTripAndCacheReuse) {
   ZkmlServer server(FastServe());
   ASSERT_TRUE(server.Start().ok());
@@ -298,13 +309,15 @@ TEST(ServeTest, WatchdogReapsJobWedgedInUncancellableWork) {
   ASSERT_TRUE(server.Start().ok());
   ZkmlClient client = MustConnect(server);
 
-  // A cold model makes compilation the wedge: it takes seconds and has no
-  // cancellation checkpoints, so the 50ms deadline plus 100ms grace elapse
-  // while the job cannot yield. The watchdog must cancel the token; the job
-  // reports CANCELLED ("reaped") at its next checkpoint instead of running
-  // the proof after its client has long given up.
+  // A cold model makes compilation the wedge: it has no cancellation
+  // checkpoints, so the 50ms deadline plus 100ms grace elapse while the job
+  // cannot yield. The watchdog must cancel the token; the job reports
+  // CANCELLED ("reaped") at its next checkpoint instead of running the proof
+  // after its client has long given up. The model is the zoo's VGG, whose
+  // cold compile (~1 s on 4 CPUs) outlasts the grace window many times
+  // over; mnist's (~0.15 s) is too close to it to wedge reliably.
   ProveRequest req;
-  req.model_text = MnistText();
+  req.model_text = SerializeModel(MakeVggLite());
   req.seed = 70;
   req.deadline_ms = 50;
   StatusOr<ZkmlClient::ProveOutcome> r = client.Prove(req, 1, kProveWaitMs);
@@ -511,9 +524,9 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
   const Model model = MakeMnistCnn();
 
   // Occupy the single worker with a cold compile; the four jobs that arrive
-  // meanwhile queue up and must be claimed as ONE group when it frees. The
-  // fourth carries a malformed input: it fails alone and the group shrinks
-  // to the three that remain.
+  // meanwhile queue up, in order, and must be claimed as ONE group when it
+  // frees. The fourth carries a malformed input: it fails alone and the
+  // group shrinks to the three that remain.
   StatusOr<ZkmlClient::ProveOutcome> head_result = InternalError("unset");
   std::thread head([&] {
     ZkmlClient c = MustConnect(server);
@@ -522,8 +535,8 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
     req.seed = 90;
     head_result = c.Prove(req, 1, kProveWaitMs);
   });
-  // Give the head job time to be claimed before the group arrives.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // The group arrives only once the head job holds the worker.
+  WaitUntil([&] { return server.stats().running_jobs == 1; });
 
   std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(4, InternalError("unset"));
   std::vector<Tensor<int64_t>> inputs;
@@ -541,6 +554,7 @@ TEST(ServeTest, CompatibleQueuedJobsCoalesceIntoOneBatchedProof) {
       req.input = i < 3 ? inputs[static_cast<size_t>(i)].ToVector() : std::vector<int64_t>{1, 2, 3};
       results[static_cast<size_t>(i)] = c.Prove(req, static_cast<uint64_t>(i) + 10, kProveWaitMs);
     });
+    WaitUntil([&] { return server.stats().jobs_accepted == clients.size() + 1; });
   }
   head.join();
   for (auto& t : clients) t.join();
@@ -605,11 +619,6 @@ TEST(ServeTest, CoalescedMemberPastItsDeadlineFailsAloneWhileTheGroupProves) {
   // Occupy the single worker with a cold compile while three compatible jobs
   // queue behind it. Job 1 queues first, so it leads the group the worker
   // claims next, and its 100ms budget runs out in the queue.
-  const auto wait_until = [](const auto& done) {
-    for (int ms = 0; ms < 10000 && !done(); ++ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
   StatusOr<ZkmlClient::ProveOutcome> head_result = InternalError("unset");
   std::thread head([&] {
     ZkmlClient c = MustConnect(server);
@@ -618,7 +627,7 @@ TEST(ServeTest, CoalescedMemberPastItsDeadlineFailsAloneWhileTheGroupProves) {
     req.seed = 100;
     head_result = c.Prove(req, 1, kProveWaitMs);
   });
-  wait_until([&] { return server.stats().running_jobs == 1; });
+  WaitUntil([&] { return server.stats().running_jobs == 1; });
 
   std::vector<StatusOr<ZkmlClient::ProveOutcome>> results(3, InternalError("unset"));
   std::vector<std::chrono::steady_clock::time_point> replied(3);
@@ -634,7 +643,7 @@ TEST(ServeTest, CoalescedMemberPastItsDeadlineFailsAloneWhileTheGroupProves) {
       replied[i] = std::chrono::steady_clock::now();
     });
     // Queue in this order.
-    wait_until([&] { return server.stats().jobs_accepted == clients.size() + 1; });
+    WaitUntil([&] { return server.stats().jobs_accepted == clients.size() + 1; });
   }
   head.join();
   for (auto& t : clients) t.join();
