@@ -1,5 +1,4 @@
-// Wall-clock timing helpers for benchmarks and the optimizer's hardware
-// profiling pass.
+// Wall-clock timing helpers for benchmarks and the pipeline's stage timings.
 #ifndef SRC_BASE_TIMER_H_
 #define SRC_BASE_TIMER_H_
 

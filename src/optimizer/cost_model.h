@@ -1,6 +1,6 @@
 // The optimizer's cost model (paper §7.4, Eq. 1-2): proving time is dominated
 // by FFTs, MSMs, lookup-table construction, and residual field arithmetic.
-// Per-size primitive timings come from a one-time hardware profile.
+// Per-size primitive timings come from one committed hardware profile.
 #ifndef SRC_OPTIMIZER_COST_MODEL_H_
 #define SRC_OPTIMIZER_COST_MODEL_H_
 
@@ -14,12 +14,9 @@ namespace zkml {
 
 class HardwareProfile {
  public:
-  // Microbenchmarks FFT/MSM/lookup-construction times for sizes 2^k with
-  // k <= measured_max_k, then extrapolates by the known asymptotics for
-  // larger sizes. Takes a couple of seconds; cache the result.
-  static HardwareProfile Measure(int measured_max_k = 14);
-
-  // Process-wide cached profile.
+  // The committed profile: FFT/MSM/lookup-construction seconds at a few
+  // sizes 2^k, extrapolated by the known asymptotics for other sizes. It
+  // times nothing, so every process ranks layouts alike.
   static const HardwareProfile& Cached();
 
   double FftSeconds(int k) const;

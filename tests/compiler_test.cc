@@ -2,7 +2,10 @@
 // cost model sanity.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/compiler/compiler.h"
+#include "src/compiler/partition.h"
 #include "src/optimizer/optimizer.h"
 #include "src/model/zoo.h"
 #include "src/plonk/mock_prover.h"
@@ -150,6 +153,39 @@ TEST(OptimizerTest, MaxKConstraintFiltersPlans) {
   for (const RankedLayout& r : result.all) {
     EXPECT_LE(r.layout.k, 13);
   }
+}
+
+// The optimizer is a pure function of (model, options): the hardware profile
+// is a committed table, so these layouts hold in every process on every host,
+// and a verifier that recompiles a plan gets the prover's keys. Editing that
+// table is a declared change, like a golden hash: re-derive these layouts and
+// say which moved. The options are zkml_cli's envelope.
+TEST(OptimizerTest, CommittedProfilePinsLayouts) {
+  auto layout = [](const Model& model, PcsKind backend, size_t batch) {
+    OptimizerOptions opts;
+    opts.min_columns = 8;
+    opts.max_columns = 32;
+    opts.max_k = 15;
+    opts.backend = backend;
+    opts.batch = batch;
+    const PhysicalLayout l = OptimizeLayout(model, HardwareProfile::Cached(), opts).best.layout;
+    return std::to_string(l.num_columns) + "x2^" + std::to_string(l.k);
+  };
+  const Model mnist = MakeMnistCnn();
+  EXPECT_EQ(layout(mnist, PcsKind::kKzg, 1), "26x2^9");
+  EXPECT_EQ(layout(mnist, PcsKind::kIpa, 1), "26x2^9");
+  EXPECT_EQ(layout(mnist, PcsKind::kKzg, 2), "14x2^11");
+  EXPECT_EQ(layout(mnist, PcsKind::kKzg, 4), "26x2^11");
+
+  StatusOr<ModelPartition> halves = PartitionModel(mnist, 2);
+  ASSERT_TRUE(halves.ok()) << halves.status().ToString();
+  ASSERT_EQ(halves->num_shards(), 2u);
+  EXPECT_EQ(layout(halves->shards[0].model, PcsKind::kKzg, 1), "12x2^9");
+  EXPECT_EQ(layout(halves->shards[1].model, PcsKind::kKzg, 1), "20x2^9");
+
+  const Model gpt2 = MakeGpt2Lite();
+  EXPECT_EQ(layout(gpt2, PcsKind::kKzg, 1), "18x2^12");
+  EXPECT_EQ(layout(gpt2, PcsKind::kIpa, 1), "18x2^12");
 }
 
 }  // namespace
