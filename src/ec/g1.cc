@@ -1133,88 +1133,6 @@ std::vector<G1Affine> MulGenerator(const std::vector<Fr>& scalars) {
   return out;
 }
 
-std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bases) {
-  const size_t n = bases.size();
-  ZKML_CHECK_MSG(n != 0 && (n & (n - 1)) == 0, "Lagrange basis size must be a power of two");
-  if (n == 1) {
-    return bases;
-  }
-  int k = 0;
-  while ((static_cast<size_t>(1) << k) < n) {
-    ++k;
-  }
-  // Inverse twiddles omega^{-i}, i < n/2, chunk-seeded so the table builds in
-  // parallel (mirrors the scalar FFT's table construction).
-  const Fr omega_inv = FrRootOfUnity(k).Inverse();
-  std::vector<Fr> tw(n / 2);
-  ParallelFor(0, n / 2, [&](size_t lo, size_t hi) {
-    Fr cur = omega_inv.Pow(U256::FromU64(lo));
-    for (size_t i = lo; i < hi; ++i) {
-      tw[i] = cur;
-      cur *= omega_inv;
-    }
-  });
-
-  std::vector<G1> a(n);
-  ParallelFor(0, n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      a[i] = G1::FromAffine(bases[i]);
-    }
-  });
-  // Radix-2 DIT, the same schedule as the scalar FftCore: bit-reverse, then
-  // per-stage butterflies flattened across (block, j) so every stage uses the
-  // whole pool. The twiddle multiply is a full scalar multiplication here, so
-  // each stage goes through ParallelForHeavy: a 2^9 stage is 256 butterflies,
-  // far below ParallelFor's serial cutoff. This transform runs once per
-  // (setup, domain-size) pair and is cached by the PCS backends, so its cost
-  // lands in setup, not in proving.
-  {
-    size_t j = 0;
-    for (size_t i = 1; i < n; ++i) {
-      size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) {
-        j ^= bit;
-      }
-      j ^= bit;
-      if (i < j) {
-        std::swap(a[i], a[j]);
-      }
-    }
-  }
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const size_t half = len / 2;
-    const size_t stride = n / len;
-    ParallelForHeavy(0, n / 2, [&](size_t lo, size_t hi) {
-      size_t i = lo;
-      while (i < hi) {
-        const size_t blk = i / half;
-        const size_t j0 = i % half;
-        const size_t j1 = std::min(half, j0 + (hi - i));
-        const size_t base = blk * len;
-        for (size_t j = j0; j < j1; ++j) {
-          const G1 u = a[base + j];
-          G1 v = a[base + j + half];
-          if (j != 0) {
-            v = v.ScalarMul(tw[j * stride]);
-          }
-          a[base + j] = u + v;
-          a[base + j + half] = u - v;
-        }
-        i += j1 - j0;
-      }
-    });
-  }
-  const Fr n_inv = Fr::FromU64(n).Inverse();
-  std::vector<G1Affine> out(n);
-  ParallelForHeavy(0, n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      a[i] = a[i].ScalarMul(n_inv);
-    }
-    G1::BatchToAffine(a.data() + lo, hi - lo, out.data() + lo);
-  });
-  return out;
-}
-
 std::vector<G1Affine> DeriveGenerators(uint64_t seed, size_t count) {
   std::vector<G1Affine> out(count);
   // Each index gets its own PRNG stream so derivation parallelizes while

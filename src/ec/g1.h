@@ -140,28 +140,16 @@ size_t GeneratorTableBuilds();
 // points, ~300 KB), built once, in parallel, on first use. A product is then
 // at most 32 mixed additions, against ScalarMul's ~130 doublings and ~45
 // additions. The scalars split into ParallelForHeavy chunks that each
-// normalize with one BatchToAffine. KZG's set-up derives its powers of tau
-// and its Lagrange bases through this call.
+// normalize with one BatchToAffine. KZG's set-up derives its Lagrange basis
+// through this call.
 std::vector<G1Affine> MulGenerator(const std::vector<Fr>& scalars);
-
-// Transforms monomial-basis commitment bases G_i into Lagrange-basis bases
-// for the radix-2 domain of size n = bases.size() (a power of two):
-//   L_j = sum_i M_ij * G_i,  M_ij = (1/n) * omega^{-ij},
-// i.e. the size-n inverse FFT applied to the points (M is symmetric, so the
-// transpose the commitment identity needs is the inverse FFT itself). For any
-// linear commitment, commit(coeffs, G) == commit(evals, L) — which is what
-// lets the prover commit straight from evaluation form. One-time setup work:
-// at n = 2^k it costs (k - 2) * n/2 + 1 twiddle scalar multiplications plus n
-// scalings by 1/n; each FFT stage and the scaling pass split their elements
-// into per-thread chunks (ParallelForHeavy) at every n. IPA's structureless
-// Pedersen bases are its only user: KZG knows its bases as [tau^i]G and
-// forms [L_j(tau)]G directly (KzgSetup::LagrangeBasis).
-std::vector<G1Affine> LagrangeBasesFromMonomial(const std::vector<G1Affine>& bases);
 
 // Deterministically derives `count` independent curve points ("nothing up my
 // sleeve" bases for Pedersen/IPA commitments) by rejection-sampling x
 // coordinates from a seeded PRNG. Discrete logs between the results are
-// unknown to everyone, which is what IPA binding requires.
+// unknown to everyone, which is what IPA binding requires. The IPA backend
+// uses them as its Lagrange basis: a vector of evaluations commits against
+// them directly, with no transform.
 std::vector<G1Affine> DeriveGenerators(uint64_t seed, size_t count);
 
 }  // namespace zkml

@@ -97,7 +97,7 @@ size_t EstimateProofSize(const PhysicalLayout& layout, PcsKind backend) {
     opening_bytes = groups * 33;
   } else {
     const size_t rounds = static_cast<size_t>(layout.k);
-    opening_bytes = groups * (4 + rounds * 2 * 33 + 32);
+    opening_bytes = groups * (rounds * 2 * 33 + 32);
   }
   return commitments * 33 + evals * 32 + opening_bytes;
 }

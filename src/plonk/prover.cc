@@ -173,10 +173,9 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
   // batched PCS call, whose MSMs run as one task group (see pcs.h).
 
   // --- Round 1: commit advice straight from evaluation form. ---
-  // CommitLagrange(values) == Commit(IfftToCoeffs(values)) bit-for-bit (see
-  // pcs.h), so interpolation is deferred to the quotient round — where the
-  // coefficients are needed anyway — and the commit rounds run zero scalar
-  // FFTs.
+  // Every commitment is in Lagrange form (see pcs.h), so interpolation is
+  // deferred to the quotient round — where the coefficients are needed
+  // anyway — and the commit rounds run zero scalar FFTs.
   const size_t num_advice = cs.num_advice_columns();
   const std::vector<PcsCommitment> advice_comms =
       pcs.CommitLagrange(PolyPointers(assignment.advice()));
@@ -469,12 +468,21 @@ StatusOr<std::vector<uint8_t>> CreateProofCancellable(const ProvingKey& pk, cons
     reg.gauge("prover.rss_hwm_delta_kb")
         .Set(static_cast<double>(obs::ReadRssHighWaterKb() - rss_start_kb));
   }
+  // The chunks are opened in coefficient form and committed in Lagrange
+  // form, like every other column: one n-point FFT each.
   std::vector<std::vector<Fr>> q_chunks(ext_factor);
-  for (size_t i = 0; i < ext_factor; ++i) {
-    q_chunks[i] =
-        std::vector<Fr>(quotient_coeffs.begin() + i * n, quotient_coeffs.begin() + (i + 1) * n);
+  std::vector<std::vector<Fr>> q_chunk_evals(ext_factor);
+  {
+    TaskGroup group;
+    for (size_t i = 0; i < ext_factor; ++i) {
+      group.Submit([&, i] {
+        q_chunks[i] = std::vector<Fr>(quotient_coeffs.begin() + i * n,
+                                      quotient_coeffs.begin() + (i + 1) * n);
+        q_chunk_evals[i] = dom.FftFromCoeffs(q_chunks[i]);
+      });
+    }
   }
-  for (const PcsCommitment& q : pcs.Commit(PolyPointers(q_chunks))) {
+  for (const PcsCommitment& q : pcs.CommitLagrange(PolyPointers(q_chunk_evals))) {
     transcript.AppendPoint("quotient", q.point);
     ProofAppendPoint(&proof, q.point);
   }

@@ -11,11 +11,11 @@
 
 namespace zkml {
 
-std::shared_ptr<Pcs> MakePcsBackend(PcsKind kind, size_t max_len, uint64_t seed) {
+std::shared_ptr<Pcs> MakePcsBackend(PcsKind kind, size_t n, uint64_t seed) {
   if (kind == PcsKind::kKzg) {
-    return std::make_shared<KzgPcs>(std::make_shared<KzgSetup>(KzgSetup::Create(max_len, seed)));
+    return std::make_shared<KzgPcs>(std::make_shared<KzgSetup>(KzgSetup::Create(n, seed)));
   }
-  return std::make_shared<IpaPcs>(std::make_shared<IpaSetup>(IpaSetup::Create(max_len, seed)));
+  return std::make_shared<IpaPcs>(std::make_shared<IpaSetup>(IpaSetup::Create(n, seed)));
 }
 
 CompiledModel CompileModelWithLayout(const Model& model, const PhysicalLayout& layout,

@@ -106,8 +106,9 @@ bool Verify(const CompiledModel& compiled, const ZkmlProof& proof);
 bool Verify(const VerifyingKey& vk, const Pcs& pcs, const std::vector<Fr>& instance,
             const std::vector<uint8_t>& proof_bytes);
 
-// Constructs the PCS backend used by CompileModel (exposed for benchmarks).
-std::shared_ptr<Pcs> MakePcsBackend(PcsKind kind, size_t max_len, uint64_t seed);
+// Constructs the PCS backend used by CompileModel (exposed for benchmarks),
+// over the domain of size n = 2^k of the circuit it commits.
+std::shared_ptr<Pcs> MakePcsBackend(PcsKind kind, size_t n, uint64_t seed);
 
 // --- Soundness audit (the `zkml_cli audit` entry point). ---
 

@@ -21,7 +21,7 @@ constexpr char kGoldenSha256[] =
     "82268f6e6b00ab2caa8ddfe9256ca4efc3c0e186834c357d1c6d21b6c83069f1";
 // The same recipe under the IPA backend.
 constexpr char kGoldenIpaSha256[] =
-    "b29de45b9243f2fe728a142ef94dda40dae1b42ce34c027dea866316503f9040";
+    "1130b109e89be0d62617af33ad69827b938654d9d80f135ffd6ec0551514a944";
 
 std::string HexDigest(const std::vector<uint8_t>& bytes) {
   const auto digest = Sha256::Hash(bytes.data(), bytes.size());
@@ -65,7 +65,7 @@ TEST(DeterminismTest, GoldenIpaProofBytes) {
   const ZkmlProof proof = Prove(compiled, input);
   ASSERT_TRUE(Verify(compiled, proof));
 
-  EXPECT_EQ(proof.bytes.size(), 6703u);
+  EXPECT_EQ(proof.bytes.size(), 6695u);
   EXPECT_EQ(HexDigest(proof.bytes), kGoldenIpaSha256);
   const ZkmlProof proof2 = Prove(compiled, input);
   EXPECT_EQ(proof2.bytes, proof.bytes);

@@ -303,29 +303,6 @@ TEST(FixedBaseTableTest, SmallTablesAndRepeatedBases) {
   EXPECT_EQ(empty.Msm(nullptr, 0), G1::Identity());
 }
 
-// The G1 FFT must equal its definition L_j = sum_i (1/n) omega^{-ij} G_i,
-// computed here for every j as one MSM.
-TEST(LagrangeBasisTest, MatchesDefinition) {
-  for (int k : {3, 6}) {
-    const size_t n = static_cast<size_t>(1) << k;
-    const std::vector<G1Affine> bases = DeriveGenerators(17, n);
-    const std::vector<G1Affine> lagrange = LagrangeBasesFromMonomial(bases);
-    ASSERT_EQ(lagrange.size(), n);
-    const Fr omega_inv = FrRootOfUnity(k).Inverse();
-    const Fr n_inv = Fr::FromU64(n).Inverse();
-    for (size_t j = 0; j < n; ++j) {
-      const Fr step = omega_inv.Pow(U256::FromU64(j));
-      std::vector<Fr> m(n);
-      Fr cur = n_inv;
-      for (size_t i = 0; i < n; ++i) {
-        m[i] = cur;
-        cur *= step;
-      }
-      EXPECT_EQ(G1::FromAffine(lagrange[j]), Msm(bases, m)) << "n=" << n << " j=" << j;
-    }
-  }
-}
-
 // MulGenerator reads the fixed-base table of G; every product must equal the
 // GLV scalar multiplication, at the scalars whose signed 8-bit digits sit at
 // the edges (zero, the top of the range, a lone high bit) and at random ones.
