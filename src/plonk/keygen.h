@@ -30,7 +30,7 @@ struct VerifyingKey {
 
 struct ProvingKey {
   VerifyingKey vk;
-  std::shared_ptr<EvaluationDomain> domain;
+  std::shared_ptr<const EvaluationDomain> domain;  // the Pcs's, shared
 
   // Fixed columns: value (grid) form and coefficient form.
   std::vector<std::vector<Fr>> fixed_values;

@@ -165,9 +165,11 @@ TEST(E2eTest, MnistVerifyRunsOneMsm) {
   EXPECT_EQ(pairings.Value() - before, 1u);
 }
 
-// Keygen commits the fixed and sigma columns as batches whose Lagrange basis
-// is fetched before the MSMs fan out: a cold setup builds it exactly once,
-// however many pool threads would otherwise race to build it.
+// Keygen takes its domain from the Pcs, which builds the Lagrange basis with
+// it on the calling thread, before any commit batch fans out: a cold setup
+// builds the basis exactly once, however many pool threads would otherwise
+// race to build it. ConcurrentPcsTest.ColdBatchBuildsTheBasisOnce checks
+// the same of a lone batched commit.
 TEST(E2eTest, KeygenBuildsTheLagrangeBasisOnce) {
   if (ThreadPool::Global().num_threads() < 2) {
     GTEST_SKIP() << "needs a pool of two or more threads";
